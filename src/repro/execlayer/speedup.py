@@ -13,6 +13,12 @@ where ``iter_time = compute / gpu_speed + sync_time(model, shape)`` using
 the job's DNN profile (:mod:`repro.workload.models`) and the communication
 models (:mod:`repro.execlayer.comm`).  Single-GPU jobs reduce to the pure
 hardware-speed ratio.
+
+The value is a pure function of the job's profile and request, the granted
+width, and the placement's *shape* (per-node widths and node specs, rack
+spread, fabric oversubscription), so :meth:`ExecutionModel.slowdown` memoizes
+it per model instance on exactly those inputs: a run with thousands of starts
+sees only a few dozen distinct shapes.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ class ExecutionModel:
 
     def __init__(self, config: ExecModelConfig | None = None) -> None:
         self.config = config or ExecModelConfig()
+        self._slowdowns: dict[tuple[object, ...], float] = {}
 
     def reference_shape(self, job: Job, nic_gbps: float = 100.0) -> PlacementShape:
         """The ideal placement shape implied by the job's request."""
@@ -97,6 +104,33 @@ class ExecutionModel:
                 f"placement provides {total} GPUs, job {job.job_id} "
                 f"accepts [{floor}, {job.num_gpus}]"
             )
+        # The key holds every input the value reads: the profile
+        # (model name, width), the reference shape (per-node cap, type),
+        # the granted width and the actual shape in sorted node order.
+        request = job.request
+        topology = cluster.topology
+        node_ids = sorted(placement)
+        key = (
+            job.model_name,
+            request.num_gpus,
+            request.gpus_per_node,
+            request.gpu_type,
+            total,
+            topology.spread(node_ids),
+            topology.fabric.oversubscription,
+            tuple((placement[n], cluster.node(n).spec) for n in node_ids),
+        )
+        value = self._slowdowns.get(key)
+        if value is None:
+            value = self._slowdowns[key] = self._compute_slowdown(
+                job, placement, cluster, total
+            )
+        return value
+
+    def _compute_slowdown(
+        self, job: Job, placement: dict[str, int], cluster: Cluster, total: int
+    ) -> float:
+        """The uncached value behind :meth:`slowdown` (placement validated)."""
         actual_shape = shape_from_placement(placement, cluster)
         gpu_types = {cluster.node(n).spec.gpu_type for n in placement}
         slowest = min(gpu_types, key=lambda t: get_gpu_spec(t).relative_speed)

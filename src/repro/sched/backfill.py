@@ -9,7 +9,8 @@ provided they cannot delay the reservation.
 * **EASY** (Argonne's Extensible Argonne Scheduling sYstem) reserves only
   for the *first* blocked job.  A candidate backfills if it will finish
   before the shadow time, or if it fits in the "extra" GPUs that remain
-  even after the head job starts.
+  even after the head job starts.  The test is made before placement is
+  searched, so EASY never computes a placement it then discards.
 * **Conservative** gives *every* blocked job a reservation; a candidate
   must finish before the earliest standing reservation.  Fewer delays to
   waiting jobs, less backfill, lower utilization — the F6 experiment
@@ -254,22 +255,28 @@ class EasyBackfillScheduler(_BackfillScheduler):
         queue = self._fifo_queue()
         reservation: _Reservation | None = None
         for job in queue:
-            placement = self.try_place(ctx, job)
             if reservation is None:
+                placement = self.try_place(ctx, job)
                 if placement is not None:
                     ctx.start_job(job, placement)
                     continue
                 # First blocked job: it gets the reservation.
                 reservation = compute_reservation(ctx, job, self._ledger)
                 continue
-            # Backfill region: must not delay the reservation.
+            # Backfill region: admit first, then place, so no placement is
+            # computed for a job that could not start.  Placement reads the
+            # cluster without changing it, so skipping the search changes no
+            # decision (the transfer-aware deferral counter, the one stateful
+            # path, now counts only consultations that could start the job).
+            finish_estimate = ctx.now + (job.walltime_estimate or 0.0)
+            before_shadow = finish_estimate <= reservation.shadow_time
+            if not before_shadow and job.num_gpus > reservation.extra_gpus:
+                continue
+            placement = self.try_place(ctx, job)
             if placement is None:
                 continue
-            finish_estimate = ctx.now + (job.walltime_estimate or 0.0)
-            if finish_estimate <= reservation.shadow_time:
-                ctx.start_job(job, placement)
-            elif job.num_gpus <= reservation.extra_gpus:
-                ctx.start_job(job, placement)
+            ctx.start_job(job, placement)
+            if not before_shadow:
                 reservation.extra_gpus -= job.num_gpus
 
 

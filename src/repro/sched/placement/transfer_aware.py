@@ -35,7 +35,15 @@ from .base import PlacementPolicy, candidate_nodes, placement_possible, request_
 
 
 class TransferAwarePlacement(PlacementPolicy):
-    """Rank candidates by upstream-artifact fetch cost, then best-fit."""
+    """Rank candidates by upstream-artifact fetch cost, then best-fit.
+
+    The deferral counter makes :meth:`place_job` the one placement path with
+    state: every consultation that defers spends patience.  EASY backfill
+    admits a candidate against its reservation *before* it places, so a
+    deferral is counted only when the consultation could have started the
+    job.  Conservative backfill still places speculatively, and its
+    discarded consultations still spend patience.
+    """
 
     name = "transfer-aware"
 
