@@ -2,7 +2,8 @@
 
 Sweeps uniform clusters (8-GPU nodes) under the same fixed-load workload as
 F10 — a 2-day tacc-campus trace synthesised at 0.9 load per size — and
-records simulator wall time plus the :class:`repro.perf.PerfCounters`
+records trace generation time (load calibration, synthesis and model
+assignment), simulator wall time and the :class:`repro.perf.PerfCounters`
 scheduler-pass telemetry for each size.  At full scale the sweep reaches
 32k GPUs; a separate fleet benchmark replays a month-long ~1M-job trace
 (vectorized synthesis) against the 32k-GPU cluster.
@@ -11,8 +12,9 @@ Results are appended to ``BENCH_hotpath.json`` at the repo root as a
 *trajectory*: the checked-in file carries the pre-index baseline rows, the
 rows measured when the incremental cluster index landed, and the rows from
 the calendar-queue/incremental-backfill rework; each run of this benchmark
-replaces the ``latest`` (and ``fleet-latest``) entry, so regressions
-against the recorded trajectory are visible in the diff.
+replaces the ``latest`` (and ``fleet-latest``) entry, stamped with the
+UTC date, the git commit and the CPU count, so regressions against the
+recorded trajectory are visible in the diff.
 
 At ``--repro-scale`` < 1.0 the sweep stops at 256 GPUs (CI smoke); at full
 scale it reaches 32768 GPUs.
@@ -21,8 +23,11 @@ scale it reaches 32768 GPUs.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import time
 from dataclasses import replace
+from datetime import datetime, timezone
 from pathlib import Path
 
 from repro.cluster.cluster import uniform_cluster
@@ -47,15 +52,18 @@ FLEET_DAYS = 30.0
 
 
 def run_hotpath_sweep(node_counts: list[int], seed: int) -> list[dict]:
-    """One row per cluster size: wall time + scheduler-pass perf counters."""
+    """One row per cluster size: trace generation and simulator wall time,
+    plus the scheduler-pass perf counters."""
     rows = []
     for nodes in node_counts:
         cluster = uniform_cluster(nodes, gpus_per_node=8)
+        started = time.perf_counter()
         config = with_load(
             tacc_campus(days=2.0), cluster.total_gpus, 0.9, seed=seed + nodes
         )
         trace = TraceSynthesizer(config, seed=seed + nodes).generate()
         assign_models(trace, seed=seed)
+        trace_gen_s = time.perf_counter() - started
         scheduler = make_scheduler("backfill-easy")
         started = time.perf_counter()
         result = run_policy(scheduler, trace, cluster=cluster)
@@ -65,6 +73,7 @@ def run_hotpath_sweep(node_counts: list[int], seed: int) -> list[dict]:
                 "gpus": nodes * 8,
                 "jobs": len(trace),
                 "events": result.events_processed,
+                "trace_gen_s": round(trace_gen_s, 6),
                 "sim_wall_s": round(elapsed, 6),
                 "perf": {
                     key: round(value, 6)
@@ -98,8 +107,8 @@ def fleet_month_config(seed: int):
 
 def run_fleet_month(seed: int) -> dict:
     """The 32k-GPU ~1M-job month: vectorized synthesis + lean simulation."""
-    config = fleet_month_config(seed)
     started = time.perf_counter()
+    config = fleet_month_config(seed)
     trace = fleet_trace(config, seed=seed)
     assign_models(trace, seed=seed)
     trace_gen_s = time.perf_counter() - started
@@ -132,6 +141,21 @@ def run_fleet_month(seed: int) -> dict:
     }
 
 
+def _git_sha() -> str | None:
+    """The checked-out commit, or ``None`` outside a git checkout."""
+    try:
+        done = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=BENCH_PATH.parent,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return done.stdout.strip()
+
+
 def update_trajectory(rows: list[dict], seed: int, label: str = "latest") -> None:
     """Replace the *label* entry of the BENCH_hotpath.json trajectory."""
     doc = json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else {
@@ -141,7 +165,16 @@ def update_trajectory(rows: list[dict], seed: int, label: str = "latest") -> Non
     doc["trajectory"] = [
         entry for entry in doc["trajectory"] if entry.get("label") != label
     ]
-    doc["trajectory"].append({"label": label, "seed": seed, "rows": rows})
+    doc["trajectory"].append(
+        {
+            "label": label,
+            "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            "git_sha": _git_sha(),
+            "cpus": os.cpu_count(),
+            "seed": seed,
+            "rows": rows,
+        }
+    )
     BENCH_PATH.write_text(json.dumps(doc, indent=1) + "\n")
 
 
@@ -156,11 +189,11 @@ def test_perf_hotpath(request, benchmark, capsys):
     update_trajectory(rows, seed)
 
     with capsys.disabled():
-        print("\n  gpus  wall_s    attempts  nodes/attempt  blocked-hit%")
+        print("\n  gpus  trace_s  wall_s    attempts  nodes/attempt  blocked-hit%")
         for row in rows:
             perf = row["perf"]
             print(
-                f"  {row['gpus']:>5} {row['sim_wall_s']:>8.4f}"
+                f"  {row['gpus']:>5} {row['trace_gen_s']:>8.4f} {row['sim_wall_s']:>8.4f}"
                 f" {perf['placement_attempts']:>9.0f}"
                 f" {perf['nodes_per_attempt']:>13.2f}"
                 f" {perf.get('blocked_cache_hit_rate', 0.0):>12.0%}"

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
+from .synth import uniform_pick
 from .trace import Trace
 
 
@@ -106,7 +107,7 @@ def assign_models(trace: Trace, seed: int | np.random.Generator = 0) -> Trace:
             mix = _DEFAULT_MIX_MEDIUM
         else:
             mix = _DEFAULT_MIX_LARGE
-        job.model_name = str(rng.choice(mix))
+        job.model_name = uniform_pick(mix, rng)
     return trace
 
 

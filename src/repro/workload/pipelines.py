@@ -29,6 +29,7 @@ import numpy as np
 from ..config import require_fraction, require_positive
 from ..errors import ConfigError
 from .job import Job, JobTier, ResourceRequest
+from .synth import Categorical
 from .trace import Trace
 
 #: Template name → builder of ``[(stage_name, [upstream indices]), ...]``.
@@ -139,6 +140,8 @@ class PipelineTraceConfig:
                 raise ConfigError(f"{label} must satisfy 1 <= low <= high")
         if not self.stage_gpu_pmf or any(d <= 0 for d in self.stage_gpu_pmf):
             raise ConfigError("stage_gpu_pmf demands must be positive")
+        if any(p < 0 for p in self.stage_gpu_pmf.values()):
+            raise ConfigError("stage_gpu_pmf probabilities must be non-negative")
         if abs(sum(self.stage_gpu_pmf.values()) - 1.0) > 1e-6:
             raise ConfigError("stage_gpu_pmf must sum to 1")
         require_positive("stage_median_minutes", self.stage_median_minutes)
@@ -171,6 +174,8 @@ class PipelineSynthesizer:
             if isinstance(seed, np.random.Generator)
             else np.random.default_rng(seed)
         )
+        self._templates = Categorical(config.template_mix)
+        self._stage_gpus = Categorical(config.stage_gpu_pmf)
 
     def _sample_arrivals(self) -> np.ndarray:
         horizon = self.config.days * 86400.0
@@ -179,12 +184,10 @@ class PipelineSynthesizer:
 
     def _sample_duration(self) -> float:
         cfg = self.config
-        value = float(
-            self.rng.lognormal(
-                mean=np.log(cfg.stage_median_minutes * 60.0), sigma=cfg.stage_sigma
-            )
+        value = self.rng.lognormal(
+            mean=np.log(cfg.stage_median_minutes * 60.0), sigma=cfg.stage_sigma
         )
-        return float(np.clip(value, cfg.min_stage_seconds, cfg.max_stage_seconds))
+        return float(min(max(value, cfg.min_stage_seconds), cfg.max_stage_seconds))
 
     def _sample_artifact_bytes(self) -> float:
         cfg = self.config
@@ -197,9 +200,7 @@ class PipelineSynthesizer:
 
     def _stage_request(self) -> ResourceRequest:
         cfg = self.config
-        demands = list(cfg.stage_gpu_pmf)
-        probs = list(cfg.stage_gpu_pmf.values())
-        num_gpus = int(self.rng.choice(demands, p=probs))
+        num_gpus = int(self._stage_gpus.draw(self.rng))
         return ResourceRequest(
             num_gpus=num_gpus,
             gpus_per_node=min(num_gpus, cfg.gpus_per_node_cap)
@@ -209,9 +210,7 @@ class PipelineSynthesizer:
 
     def _build_workflow(self, index: int, submit_time: float) -> list[Job]:
         cfg = self.config
-        template = str(
-            self.rng.choice(list(cfg.template_mix), p=list(cfg.template_mix.values()))
-        )
+        template = self._templates.draw(self.rng)
         if template == "chain":
             width = int(self.rng.integers(cfg.chain_length[0], cfg.chain_length[1] + 1))
         else:

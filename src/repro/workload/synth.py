@@ -26,7 +26,9 @@ single :class:`numpy.random.Generator` so a seed fully determines a trace.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from typing import Generic, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -43,6 +45,51 @@ CAMPUS_DIURNAL = (
     1.10, 1.15, 1.35, 1.40, 1.30, 1.20,  # 12-17
     1.00, 0.95, 1.05, 1.10, 0.80, 0.45,  # 18-23
 )
+
+#: Interactive notebooks: GPU width (uniform pick) and log-normal duration
+#: around a 12-minute median, clipped to [1 minute, interactive_max_minutes].
+NOTEBOOK_GPUS = (1, 1, 1, 2)
+NOTEBOOK_LOG_MEDIAN_S = float(np.log(12 * 60.0))
+NOTEBOOK_SIGMA = 0.9
+#: Host resources per GPU, each a uniform pick.
+CPUS_PER_GPU = (2, 4, 4, 8)
+MEMORY_GB_PER_GPU = (16.0, 32.0, 32.0, 64.0)
+
+K = TypeVar("K")
+
+
+class Categorical(Generic[K]):
+    """A categorical draw on the same stream as ``rng.choice(keys, p=probs)``.
+
+    ``Generator.choice`` with ``p`` normalises the cumulative sum of the
+    probabilities, draws one ``rng.random()`` and returns the key at
+    ``searchsorted(cdf, u, side="right")``.  This does that arithmetic once
+    per configuration and bisects a list per draw: the same key from the
+    same draw, without ``choice``'s per-call argument conversion and checks.
+    Configurations validate their probabilities (non-negative, summing to
+    1) before one is built.
+    """
+
+    __slots__ = ("keys", "cdf")
+
+    def __init__(self, pmf: Mapping[K, float]) -> None:
+        self.keys: tuple[K, ...] = tuple(pmf)
+        cdf = np.asarray(list(pmf.values()), dtype=float).cumsum()
+        cdf /= cdf[-1]
+        self.cdf: list[float] = cdf.tolist()
+
+    def draw(self, rng: np.random.Generator) -> K:
+        return self.keys[bisect_right(self.cdf, rng.random())]
+
+
+def uniform_pick(seq: Sequence[K], rng: np.random.Generator) -> K:
+    """``rng.choice(seq)`` on the same stream: one ``rng.integers`` draw."""
+    return seq[int(rng.integers(0, len(seq)))]
+
+
+def _require_probabilities(label: str, pmf: Mapping[object, float]) -> None:
+    if any(p < 0 for p in pmf.values()):
+        raise ConfigError(f"{label} probabilities must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -69,15 +116,22 @@ class DurationModel:
         require_positive("DurationModel.sigma", self.sigma)
         if self.max_seconds <= self.min_seconds:
             raise ConfigError("DurationModel: max_seconds must exceed min_seconds")
+        # log(median seconds) per demand, filled on first use: sample() runs
+        # once per job.  Not a field, so equality, repr and replace() ignore it.
+        object.__setattr__(self, "_log_median_s", {})
 
     def median_for(self, num_gpus: int) -> float:
         keys = [k for k in self.median_minutes if k <= num_gpus]
         return self.median_minutes[max(keys)]
 
     def sample(self, num_gpus: int, rng: np.random.Generator) -> float:
-        median_s = self.median_for(num_gpus) * 60.0
-        value = float(rng.lognormal(mean=np.log(median_s), sigma=self.sigma))
-        return float(np.clip(value, self.min_seconds, self.max_seconds))
+        log_median = self._log_median_s.get(num_gpus)
+        if log_median is None:
+            # np.log, not math.log: the two can differ in the last place.
+            log_median = float(np.log(self.median_for(num_gpus) * 60.0))
+            self._log_median_s[num_gpus] = log_median
+        value = rng.lognormal(log_median, self.sigma)
+        return float(min(max(value, self.min_seconds), self.max_seconds))
 
 
 @dataclass(frozen=True)
@@ -141,6 +195,7 @@ class SyntheticTraceConfig:
             raise ConfigError("gpu_demand_pmf must be non-empty")
         if any(d <= 0 for d in self.gpu_demand_pmf):
             raise ConfigError("gpu demands must be positive")
+        _require_probabilities("gpu_demand_pmf", self.gpu_demand_pmf)
         total = sum(self.gpu_demand_pmf.values())
         if abs(total - 1.0) > 1e-6:
             raise ConfigError(f"gpu_demand_pmf must sum to 1, sums to {total}")
@@ -154,6 +209,7 @@ class SyntheticTraceConfig:
         require_fraction("elastic_fraction", self.elastic_fraction)
         require_positive("dataset_gb_median", self.dataset_gb_median)
         require_positive("dataset_gb_sigma", self.dataset_gb_sigma)
+        _require_probabilities("gpu_type_preferences", self.gpu_type_preferences)
         type_total = sum(self.gpu_type_preferences.values())
         if abs(type_total - 1.0) > 1e-6:
             raise ConfigError("gpu_type_preferences must sum to 1")
@@ -198,25 +254,9 @@ class TraceSynthesizer:
 
     # -- arrival process -----------------------------------------------------
 
-    def _hourly_rates(self) -> np.ndarray:
-        """Expected submissions for every hour of the trace."""
-        cfg = self.config
-        hours = int(np.ceil(cfg.days * 24))
-        profile = np.asarray(cfg.diurnal_profile, dtype=float)
-        profile = profile / profile.mean()  # normalise so daily total is jobs_per_day
-        rates = np.empty(hours)
-        for hour in range(hours):
-            day = hour // 24
-            weekday = (cfg.start_weekday + day) % 7
-            day_factor = cfg.weekend_factor if weekday >= 5 else 1.0
-            if cfg.daily_seasonality:
-                day_factor *= cfg.daily_seasonality[day % len(cfg.daily_seasonality)]
-            rates[hour] = cfg.jobs_per_day / 24.0 * profile[hour % 24] * day_factor
-        return rates
-
     def _sample_arrivals(self) -> np.ndarray:
         """Non-homogeneous Poisson arrivals over the trace horizon."""
-        rates = self._hourly_rates()
+        rates = hourly_rates(self.config)
         times: list[float] = []
         for hour, rate in enumerate(rates):
             count = int(self.rng.poisson(rate))
@@ -227,96 +267,74 @@ class TraceSynthesizer:
         return arrivals[arrivals < horizon]
 
     # -- per-job fields ------------------------------------------------------
-
-    def _sample_demand(self) -> int:
-        demands = list(self.config.gpu_demand_pmf)
-        probs = list(self.config.gpu_demand_pmf.values())
-        return int(self.rng.choice(demands, p=probs))
-
-    def _sample_gpu_type(self) -> str | None:
-        types = list(self.config.gpu_type_preferences)
-        probs = list(self.config.gpu_type_preferences.values())
-        choice = str(self.rng.choice(types, p=probs))
-        return choice or None
-
-    def _sample_walltime_estimate(self, duration: float) -> float:
-        factor = float(
-            self.rng.lognormal(
-                mean=np.log(self.config.walltime_overestimate_mean),
-                sigma=self.config.walltime_overestimate_sigma,
-            )
-        )
-        return duration * max(1.0, factor)
+    #
+    # Every per-job value comes from a scalar draw on ``self.rng``; the order
+    # of the draws is the stream contract that pins the goldens:
+    # interactive, width/duration, tier, elastic (short-circuit), dataset,
+    # gpu_type, cpus, memory, walltime factor, failure plan.
 
     def _sample_failure_plan(self) -> FailurePlan | None:
         cfg = self.config
-        if self.rng.uniform() >= cfg.failure_fraction:
+        if self.rng.random() >= cfg.failure_fraction:
             return None
-        if self.rng.uniform() < cfg.failure_user_error_share:
+        if self.rng.random() < cfg.failure_user_error_share:
             # User errors (bad path, syntax, bad config) surface early.
             return FailurePlan(FailureCategory.USER_ERROR, float(self.rng.beta(1.2, 20.0)) or 0.01)
         # OOM and similar runtime failures strike anywhere mid-run.
-        return FailurePlan(FailureCategory.OOM, float(np.clip(self.rng.uniform(0.05, 0.95), 0.01, 1.0)))
+        return FailurePlan(
+            FailureCategory.OOM, float(min(max(self.rng.uniform(0.05, 0.95), 0.01), 1.0))
+        )
 
     def generate(self) -> Trace:
         cfg = self.config
+        rng = self.rng
+        demand = Categorical(cfg.gpu_demand_pmf)
+        gpu_types = Categorical(cfg.gpu_type_preferences)
+        log_dataset_median = float(np.log(cfg.dataset_gb_median))
+        log_walltime_mean = float(np.log(cfg.walltime_overestimate_mean))
         arrivals = self._sample_arrivals()
         jobs: list[Job] = []
-        user_indices = self.rng.choice(
+        user_indices = rng.choice(
             len(self._pool.users), size=len(arrivals), p=self._pool.weights
         )
-        for index, (submit_time, user_index) in enumerate(zip(arrivals, user_indices)):
-            interactive = bool(self.rng.uniform() < cfg.interactive_fraction)
-            if interactive:
-                num_gpus = int(self.rng.choice([1, 1, 1, 2]))
-                duration = float(
-                    np.clip(
-                        self.rng.lognormal(np.log(12 * 60.0), 0.9),
-                        60.0,
-                        cfg.interactive_max_minutes * 60.0,
-                    )
-                )
-            else:
-                num_gpus = self._sample_demand()
-                duration = cfg.duration.sample(num_gpus, self.rng)
+        for index, (submit_time, user_index) in enumerate(
+            zip(arrivals.tolist(), user_indices.tolist())
+        ):
+            interactive = bool(rng.random() < cfg.interactive_fraction)
+            num_gpus, duration = _sample_shape(cfg, demand, rng, interactive)
             tier = (
                 JobTier.GUARANTEED
-                if self.rng.uniform() < cfg.guaranteed_fraction
+                if rng.random() < cfg.guaranteed_fraction
                 else JobTier.OPPORTUNISTIC
             )
             elastic_min = None
             preemptible = None
-            if (
-                not interactive
-                and num_gpus >= 4
-                and self.rng.uniform() < cfg.elastic_fraction
-            ):
+            if not interactive and num_gpus >= 4 and rng.random() < cfg.elastic_fraction:
                 elastic_min = max(1, num_gpus // 4)
                 preemptible = True
             dataset_gb = 0.0
             if not interactive:
-                dataset_gb = float(
-                    self.rng.lognormal(np.log(cfg.dataset_gb_median), cfg.dataset_gb_sigma)
-                )
+                dataset_gb = rng.lognormal(log_dataset_median, cfg.dataset_gb_sigma)
             request = ResourceRequest(
                 num_gpus=num_gpus,
                 gpus_per_node=min(num_gpus, cfg.gpus_per_node_cap)
                 if num_gpus > cfg.gpus_per_node_cap
                 else None,
-                gpu_type=self._sample_gpu_type(),
-                cpus_per_gpu=int(self.rng.choice([2, 4, 4, 8])),
-                memory_gb_per_gpu=float(self.rng.choice([16.0, 32.0, 32.0, 64.0])),
+                gpu_type=gpu_types.draw(rng) or None,
+                cpus_per_gpu=uniform_pick(CPUS_PER_GPU, rng),
+                memory_gb_per_gpu=uniform_pick(MEMORY_GB_PER_GPU, rng),
             )
+            walltime_factor = rng.lognormal(log_walltime_mean, cfg.walltime_overestimate_sigma)
             jobs.append(
                 Job(
                     job_id=f"job-{index:06d}",
                     user_id=self._pool.users[user_index],
                     lab_id=self._pool.labs[user_index],
                     request=request,
-                    submit_time=float(submit_time),
+                    submit_time=submit_time,
                     duration=duration,
                     tier=tier,
-                    walltime_estimate=self._sample_walltime_estimate(duration),
+                    walltime_estimate=duration * max(1.0, walltime_factor),
                     interactive=interactive,
                     preemptible=preemptible,
                     failure_plan=self._sample_failure_plan(),
@@ -326,6 +344,36 @@ class TraceSynthesizer:
                 )
             )
         return Trace(jobs, name=cfg.name, metadata={"config": cfg.name, "days": cfg.days})
+
+
+def hourly_rates(config: SyntheticTraceConfig) -> np.ndarray:
+    """Expected submissions for every hour of the trace."""
+    hours = int(np.ceil(config.days * 24))
+    profile = np.asarray(config.diurnal_profile, dtype=float)
+    profile = profile / profile.mean()  # normalise so daily total is jobs_per_day
+    hour_index = np.arange(hours)
+    day = hour_index // 24
+    weekday = (config.start_weekday + day) % 7
+    day_factor = np.where(weekday >= 5, config.weekend_factor, 1.0)
+    if config.daily_seasonality:
+        season = np.asarray(config.daily_seasonality, dtype=float)
+        day_factor = day_factor * season[day % len(season)]
+    return config.jobs_per_day / 24.0 * profile[hour_index % 24] * day_factor
+
+
+def _sample_shape(
+    config: SyntheticTraceConfig,
+    demand: Categorical[int],
+    rng: np.random.Generator,
+    interactive: bool,
+) -> tuple[int, float]:
+    """GPU width and duration of one job: a notebook, or a training job."""
+    if interactive:
+        num_gpus = uniform_pick(NOTEBOOK_GPUS, rng)
+        duration = rng.lognormal(NOTEBOOK_LOG_MEDIAN_S, NOTEBOOK_SIGMA)
+        return num_gpus, float(min(max(duration, 60.0), config.interactive_max_minutes * 60.0))
+    num_gpus = int(demand.draw(rng))
+    return num_gpus, config.duration.sample(num_gpus, rng)
 
 
 def expected_gpu_seconds_per_job(
@@ -338,22 +386,11 @@ def expected_gpu_seconds_per_job(
     unreliable once clipping kicks in, so we sample.
     """
     rng = np.random.default_rng(seed)
-    demands = np.array(list(config.gpu_demand_pmf), dtype=int)
-    probs = np.array(list(config.gpu_demand_pmf.values()))
+    demand = Categorical(config.gpu_demand_pmf)
     total = 0.0
     for _ in range(samples):
-        if rng.uniform() < config.interactive_fraction:
-            gpus = int(rng.choice([1, 1, 1, 2]))
-            duration = float(
-                np.clip(
-                    rng.lognormal(np.log(12 * 60.0), 0.9),
-                    60.0,
-                    config.interactive_max_minutes * 60.0,
-                )
-            )
-        else:
-            gpus = int(rng.choice(demands, p=probs))
-            duration = config.duration.sample(gpus, rng)
+        interactive = rng.random() < config.interactive_fraction
+        gpus, duration = _sample_shape(config, demand, rng, interactive)
         total += gpus * duration
     return total / samples
 

@@ -237,9 +237,17 @@ class Trace:
                     record = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise TraceError(f"{path}:{line_number}: invalid JSON: {exc}") from exc
+                if not isinstance(record, dict):
+                    raise TraceError(
+                        f"{path}:{line_number}: trace record must be a JSON object, "
+                        f"got {type(record).__name__}"
+                    )
                 if line_number == 1 and "trace" in record:
                     name = str(record["trace"])
-                    metadata = dict(record.get("metadata", {}))
+                    metadata = record.get("metadata", {})
+                    if not isinstance(metadata, dict):
+                        raise TraceError(f"{path}:1: trace metadata must be a JSON object")
+                    metadata = dict(metadata)
                     continue
                 try:
                     jobs.append(_job_from_row(record))
@@ -278,40 +286,65 @@ def _job_to_row(job: Job) -> dict[str, object]:
 
 
 def _job_from_row(row: dict[str, object]) -> Job:
+    """Rebuild a job from a row of text (CSV), JSON values or typed values.
+
+    Typed rows (:meth:`Trace.frozen_rows`) skip the ``float(str(x))`` round
+    trip, which is exact because ``repr`` round-trips a float; every other
+    value, ``bool`` included, takes the text path, so a JSON ``true`` is
+    still rejected where a number belongs.
+    """
+    get = row.get
+
     def text(key: str) -> str:
-        value = row.get(key, "")
+        value = get(key, "")
         return "" if value is None else str(value)
+
+    def present(key: str) -> bool:
+        value = get(key, "")
+        return value is not None and value != ""
+
+    def number(key: str, default: float | None = None) -> float:
+        value = get(key, "")
+        if type(value) is float:
+            return value
+        if type(value) is int:
+            try:
+                return float(value)
+            except OverflowError:
+                pass  # float(str(x)) rounds a huge int to inf instead
+        if default is not None and (value is None or value == ""):
+            return default
+        return float(text(key))
 
     plan = None
     if text("failure_category"):
         plan = FailurePlan(
             category=FailureCategory(text("failure_category")),
-            at_fraction=float(text("failure_at_fraction")),
+            at_fraction=number("failure_at_fraction"),
         )
-    gpus_per_node = text("gpus_per_node")
     return Job(
         job_id=text("job_id"),
         user_id=text("user_id"),
         lab_id=text("lab_id"),
-        submit_time=float(text("submit_time")),
-        duration=float(text("duration")),
+        submit_time=number("submit_time"),
+        duration=number("duration"),
         request=ResourceRequest(
-            num_gpus=int(float(text("num_gpus"))),
-            gpus_per_node=int(float(gpus_per_node)) if gpus_per_node else None,
+            num_gpus=int(number("num_gpus")),
+            gpus_per_node=int(number("gpus_per_node")) if present("gpus_per_node") else None,
             gpu_type=text("gpu_type") or None,
-            cpus_per_gpu=int(float(text("cpus_per_gpu") or 4)),
-            memory_gb_per_gpu=float(text("memory_gb_per_gpu") or 32.0),
+            cpus_per_gpu=int(number("cpus_per_gpu", 4.0)),
+            memory_gb_per_gpu=number("memory_gb_per_gpu", 32.0),
         ),
         tier=JobTier(text("tier") or "guaranteed"),
         partition=text("partition") or None,
-        walltime_estimate=float(text("walltime_estimate")) if text("walltime_estimate") else None,
-        interactive=bool(int(float(text("interactive") or 0))),
+        walltime_estimate=number("walltime_estimate") if present("walltime_estimate") else None,
+        interactive=bool(int(number("interactive", 0.0))),
         failure_plan=plan,
-        elastic_min_gpus=int(float(text("elastic_min"))) if text("elastic_min") else None,
-        dataset_gb=float(text("dataset_gb") or 0.0),
+        elastic_min_gpus=int(number("elastic_min")) if present("elastic_min") else None,
+        dataset_gb=number("dataset_gb", 0.0),
         model_name=text("model"),
         name=text("name"),
         workflow_id=text("workflow") or None,
         depends_on=tuple(d for d in text("depends_on").split(";") if d),
-        artifact_bytes=float(text("artifact_bytes") or 0.0),
+        artifact_bytes=number("artifact_bytes", 0.0),
     )

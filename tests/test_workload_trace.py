@@ -186,3 +186,28 @@ class TestModelProfiles:
         trace.to_csv(path)
         restored = Trace.from_csv(path)
         assert [j.model_name for j in restored] == [j.model_name for j in trace]
+
+
+class TestJsonlRecordShape:
+    @pytest.mark.parametrize(
+        "content, line",
+        [
+            ('{"trace": "x", "metadata": {}}\n[1, 2]\n', 2),
+            ("5\n", 1),
+            ('"a trace"\n', 1),
+            ("[1, 2]\n", 1),
+            ("null\n", 1),
+        ],
+        ids=["list-record", "number-header", "string-header", "list-header", "null-header"],
+    )
+    def test_non_object_record_is_a_trace_error(self, tmp_path, content, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(content)
+        with pytest.raises(TraceError, match=f":{line}: trace record must be a JSON object"):
+            Trace.from_jsonl(path)
+
+    def test_non_object_metadata_is_a_trace_error(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"trace": "x", "metadata": [1, 2]}\n')
+        with pytest.raises(TraceError, match=":1: trace metadata must be a JSON object"):
+            Trace.from_jsonl(path)
