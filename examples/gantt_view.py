@@ -45,9 +45,7 @@ def run(policy_name, scheduler):
         scheduler,
         Trace(workload()),
         exec_model=UnitExecutionModel(),
-        config=SimConfig(
-            sample_interval_s=0.0, checkpoint_loss_s=0.0, record_timeline=True
-        ),
+        config=SimConfig(sample_interval_s=0.0, checkpoint_loss_s=0.0),
     )
     result = simulator.run()
     print(f"--- {policy_name} (mean wait "

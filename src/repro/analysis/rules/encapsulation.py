@@ -22,6 +22,7 @@ from ..registry import Rule, register
 _LIFECYCLE_FIELDS = frozenset(
     {
         "state",
+        "lifecycle",
         "attempts",
         "preemptions",
         "remaining_work",
@@ -34,6 +35,8 @@ _LIFECYCLE_FIELDS = frozenset(
         "current_gpus",
         "current_setup_s",
         "gpu_seconds_used",
+        "productive_gpu_seconds",
+        "deps_released_at",
         "failure_category",
         "preemptible",
         "request",
@@ -41,7 +44,12 @@ _LIFECYCLE_FIELDS = frozenset(
 )
 
 
-def _assign_targets(node: ast.stmt) -> list[ast.expr]:
+#: The one function allowed to move ``Job.lifecycle``: the controller's
+#: single transition path, which checks LEGAL_TRANSITIONS first.
+_LIFECYCLE_WRITER = "_apply"
+
+
+def _assign_targets(node: ast.AST) -> list[ast.expr]:
     if isinstance(node, ast.Assign):
         return list(node.targets)
     if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
@@ -49,37 +57,68 @@ def _assign_targets(node: ast.stmt) -> list[ast.expr]:
     return []
 
 
+def _attribute_writes(
+    node: ast.AST, function: str | None = None
+) -> Iterator[tuple[str | None, ast.Attribute]]:
+    """(enclosing function name, target) for every attribute assignment."""
+    for child in ast.iter_child_nodes(node):
+        for target in _assign_targets(child):
+            if isinstance(target, ast.Attribute):
+                yield function, target
+        inner = (
+            child.name
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            else function
+        )
+        yield from _attribute_writes(child, inner)
+
+
 @register
 class LifecycleWriteRule(Rule):
-    """R3: job lifecycle fields are assigned only by the control plane."""
+    """R3: job lifecycle fields are assigned only by the control plane.
+
+    ``.lifecycle`` itself is narrower still: only
+    ``ClusterController._apply`` may assign it, so the Job transition
+    methods stay pure work accounting.
+    """
 
     id = "R3"
     name = "lifecycle-write"
     rationale = (
         "Direct writes to job state bypass lifecycle validation, the "
         "transition log, and churn accounting; every mutation must go "
-        "through ClusterController (or a Job transition method it calls)."
+        "through ClusterController (or a Job transition method it calls), "
+        "and only ClusterController._apply moves Job.lifecycle."
     )
-    exempt = scopes.LIFECYCLE_OWNERS
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            for target in _assign_targets(node):
-                if not isinstance(target, ast.Attribute):
-                    continue
-                if target.attr not in _LIFECYCLE_FIELDS:
-                    continue
-                # A class assigning its *own* attribute of the same name is
-                # some other object's internal state, not a reach into a Job.
-                if isinstance(target.value, ast.Name) and target.value.id == "self":
+        owner = ctx.path_matches(scopes.LIFECYCLE_OWNERS)
+        controller = ctx.path_matches(scopes.CONTROL_PLANE)
+        for function, target in _attribute_writes(ctx.tree):
+            if target.attr == "lifecycle":
+                if controller and function == _LIFECYCLE_WRITER:
                     continue
                 yield ctx.finding(
                     self.id,
                     target,
-                    f"direct write to lifecycle field '.{target.attr}' outside "
-                    "the control plane; route the mutation through "
-                    "ClusterController so it is validated and logged",
+                    "write to '.lifecycle' outside ClusterController._apply; "
+                    "every lifecycle move must be checked against "
+                    "LEGAL_TRANSITIONS and logged there",
                 )
+                continue
+            if owner or target.attr not in _LIFECYCLE_FIELDS:
+                continue
+            # A class assigning its *own* attribute of the same name is
+            # some other object's internal state, not a reach into a Job.
+            if isinstance(target.value, ast.Name) and target.value.id == "self":
+                continue
+            yield ctx.finding(
+                self.id,
+                target,
+                f"direct write to lifecycle field '.{target.attr}' outside "
+                "the control plane; route the mutation through "
+                "ClusterController so it is validated and logged",
+            )
 
 
 @register

@@ -1,8 +1,8 @@
 """Rule R11: the lifecycle table and its call sites must agree.
 
 The 9-state job lifecycle is enforced dynamically by
-``JobLifecycle.advance`` — but a dynamic check only fires on the paths a
-test happens to execute.  R11 cross-checks statically, project-wide:
+``ClusterController._apply`` — but a dynamic check only fires on the paths
+a test happens to execute.  R11 cross-checks statically, project-wide:
 
 * every transition call site's from-state evidence must intersect the
   legal sources of its target (an empty intersection means the call can
@@ -81,9 +81,7 @@ class LifecycleTypestateRule(ProjectRule):
                     "(not a key of LEGAL_TRANSITIONS)",
                 )
                 continue
-            evidence = resolve_evidence(
-                facts, model.states, model.edges, model.jobstate_of
-            )
+            evidence = resolve_evidence(facts, model.states, model.edges)
             if not evidence & sources:
                 yield self._finding(
                     path,

@@ -47,9 +47,10 @@ NUMERIC_RESULTS = (
 #: The one module allowed to deep-copy live simulations.
 SNAPSHOT_MODULE = ("controlplane/snapshot.py",)
 
+#: The control plane, whose ``ClusterController._apply`` alone moves
+#: ``Job.lifecycle``.
+CONTROL_PLANE = ("repro/controlplane/",)
+
 #: The control plane plus the job model's own transition methods — the
-#: only legitimate writers of job lifecycle state.
-LIFECYCLE_OWNERS = (
-    "repro/controlplane/",
-    "workload/job.py",
-)
+#: only legitimate writers of a job's runtime fields.
+LIFECYCLE_OWNERS = CONTROL_PLANE + ("workload/job.py",)

@@ -1,15 +1,14 @@
 """Lifecycle typestate extraction: the engine behind rule R11.
 
-The control plane's job-lifecycle contract lives in two places: the
-``LEGAL_TRANSITIONS`` table (which edges exist) and the controller's
-transition call sites (which edges code actually takes).  This module
-statically cross-checks them:
+The job-lifecycle contract lives in two places: the ``LEGAL_TRANSITIONS``
+table (which edges exist) and the controller's transition call sites
+(which edges code actually takes).  This module statically cross-checks
+them:
 
 * :func:`extract_typestate` distills one file into plain data — the
-  parsed transition table, the ``LifecycleState -> JobState`` collapse
-  map, and every transition call site (``self._apply(..,
-  LifecycleState.X, ..)`` / ``lifecycle.advance(LifecycleState.X, ..)``)
-  together with its *from-state evidence*;
+  parsed transition table and every transition call site
+  (``self._apply(.., LifecycleState.X, ..)``) together with its
+  *from-state evidence*;
 * :func:`resolve_evidence` / :func:`edge_coverage` combine the summaries:
   a call site whose evidence set shares no state with the table's legal
   sources of its target is an illegal edge, and a table edge no call
@@ -18,16 +17,19 @@ statically cross-checks them:
 From-state evidence is computed by a tiny abstract interpreter over each
 function body, tracking which lifecycle states the subject job may be in
 at each program point.  Facts are *symbolic* at extract time (they name
-``JobState`` members, terminality, ``can()`` targets) and are resolved
-against the parsed table at reduce time, so the per-file summaries stay
-cacheable plain data.  Recognised evidence:
+``LifecycleState`` members and terminality) and are resolved against the
+parsed table at reduce time, so the per-file summaries stay cacheable
+plain data.  Recognised evidence:
 
-* ``if job.state is [not] JobState.X: raise/return/continue`` guards;
-* ``if <expr>.state.terminal: return`` guards (terminal = no out-edges);
-* ``if not <lifecycle>.can(LifecycleState.X): raise`` guards;
-* ``<expr>.state is [not] LifecycleState.X`` comparisons;
+* ``if job.lifecycle is [not] LifecycleState.X: raise/return/continue``
+  guards (``.state`` reads count too);
+* ``if <expr>.lifecycle.terminal: return`` guards (terminal = no
+  out-edges);
 * a dominating earlier transition call in the same function — after
   ``_apply(.., PREEMPTED, ..)`` succeeds the job *is* PREEMPTED.
+
+A comparison against a coarse ``JobState`` member is opaque: it names a
+projection, not a lifecycle state.
 
 Everything else over-approximates to "any state", which keeps the pass
 sound for legality (no false illegal-edge reports) and optimistic for
@@ -43,11 +45,12 @@ from typing import Callable, Sequence
 from .context import FileContext
 
 STATE_ENUM = "LifecycleState"
-JOBSTATE_ENUM = "JobState"
 TABLE_NAME = "LEGAL_TRANSITIONS"
 #: Methods whose call sites take a lifecycle edge when passed an explicit
 #: ``LifecycleState.X`` argument.
-TRANSITION_METHODS = frozenset({"_apply", "advance"})
+TRANSITION_METHODS = frozenset({"_apply"})
+#: Attribute reads that name a job's lifecycle state.
+STATE_ATTRS = frozenset({"lifecycle", "state"})
 
 #: One symbolic evidence fact: ``{"kind": .., "value": .., "neg": ..}``.
 Fact = dict[str, object]
@@ -55,20 +58,20 @@ Fact = dict[str, object]
 Summary = dict[str, object]
 
 
-def _state_attr(node: ast.expr, enum_name: str) -> str | None:
-    """``LifecycleState.X`` / ``JobState.X`` member name, else None."""
+def _state_attr(node: ast.expr) -> str | None:
+    """``LifecycleState.X`` member name, else None."""
     if (
         isinstance(node, ast.Attribute)
         and isinstance(node.value, ast.Name)
-        and node.value.id == enum_name
+        and node.value.id == STATE_ENUM
     ):
         return node.attr
     return None
 
 
 def _is_state_read(node: ast.expr) -> bool:
-    """True for ``<expr>.state`` attribute reads."""
-    return isinstance(node, ast.Attribute) and node.attr == "state"
+    """True for ``<expr>.lifecycle`` / ``<expr>.state`` attribute reads."""
+    return isinstance(node, ast.Attribute) and node.attr in STATE_ATTRS
 
 
 def _parse_table(value: ast.expr) -> dict[str, list[str]] | None:
@@ -77,7 +80,7 @@ def _parse_table(value: ast.expr) -> dict[str, list[str]] | None:
         return None
     table: dict[str, list[str]] = {}
     for key, val in zip(value.keys, value.values):
-        source = _state_attr(key, STATE_ENUM) if key is not None else None
+        source = _state_attr(key) if key is not None else None
         if source is None:
             return None
         elements: list[ast.expr]
@@ -96,26 +99,12 @@ def _parse_table(value: ast.expr) -> dict[str, list[str]] | None:
             return None
         targets: list[str] = []
         for element in elements:
-            target = _state_attr(element, STATE_ENUM)
+            target = _state_attr(element)
             if target is None:
                 return None
             targets.append(target)
         table[source] = sorted(targets)
     return table
-
-
-def _parse_jobstate_map(value: ast.expr) -> dict[str, str] | None:
-    """Parse a ``{LifecycleState.A: JobState.B, ...}`` collapse map."""
-    if not isinstance(value, ast.Dict):
-        return None
-    mapping: dict[str, str] = {}
-    for key, val in zip(value.keys, value.values):
-        source = _state_attr(key, STATE_ENUM) if key is not None else None
-        target = _state_attr(val, JOBSTATE_ENUM)
-        if source is None or target is None:
-            return None
-        mapping[source] = target
-    return mapping or None
 
 
 def _negate(fact: Fact) -> Fact:
@@ -142,22 +131,9 @@ def _parse_guard(test: ast.expr) -> Fact | None:
             for subject, member in ((left, right), (right, left)):
                 if not _is_state_read(subject):
                     continue
-                job_state = _state_attr(member, JOBSTATE_ENUM)
-                if job_state is not None:
-                    return {"kind": "jobstate", "value": job_state, "neg": neg ^ op_neg}
-                lifecycle_state = _state_attr(member, STATE_ENUM)
+                lifecycle_state = _state_attr(member)
                 if lifecycle_state is not None:
                     return {"kind": "state", "value": lifecycle_state, "neg": neg ^ op_neg}
-        return None
-    if (
-        isinstance(test, ast.Call)
-        and isinstance(test.func, ast.Attribute)
-        and test.func.attr == "can"
-        and test.args
-    ):
-        target = _state_attr(test.args[0], STATE_ENUM)
-        if target is not None:
-            return {"kind": "can", "value": target, "neg": neg}
     return None
 
 
@@ -172,7 +148,7 @@ def _transition_calls(stmt: ast.stmt) -> list[tuple[ast.Call, str]]:
         ):
             continue
         for arg in list(node.args) + [kw.value for kw in node.keywords]:
-            target = _state_attr(arg, STATE_ENUM)
+            target = _state_attr(arg)
             if target is not None:
                 sites.append((node, target))
                 break
@@ -246,39 +222,27 @@ class _EvidenceWalk:
 def extract_typestate(ctx: FileContext) -> Summary | None:
     """Distill one file's typestate facts; None when it has none."""
     table: dict[str, object] | None = None
-    jobstate_of: dict[str, str] | None = None
     callsites: list[dict[str, object]] = []
 
     for node in ast.walk(ctx.tree):
         if isinstance(node, ast.Assign) and len(node.targets) == 1 and (
             isinstance(node.targets[0], ast.Name)
         ):
-            name = node.targets[0].id
-            if name == TABLE_NAME:
-                parsed = _parse_table(node.value)
-                if parsed is not None and table is None:
-                    table = {
-                        "line": node.lineno,
-                        "col": node.col_offset,
-                        "source_line": ctx.source_line(node.lineno),
-                        "edges": parsed,
-                    }
-            elif jobstate_of is None:
-                jobstate_of = _parse_jobstate_map(node.value)
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name) and (
-            node.value is not None
-        ):
-            if node.target.id == TABLE_NAME and table is None:
-                parsed = _parse_table(node.value)
-                if parsed is not None:
-                    table = {
-                        "line": node.lineno,
-                        "col": node.col_offset,
-                        "source_line": ctx.source_line(node.lineno),
-                        "edges": parsed,
-                    }
-            elif jobstate_of is None:
-                jobstate_of = _parse_jobstate_map(node.value)
+            target = node.targets[0]
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            target = node.target
+        else:
+            continue
+        if isinstance(target, ast.Name) and target.id == TABLE_NAME and table is None:
+            assert node.value is not None
+            parsed = _parse_table(node.value)
+            if parsed is not None:
+                table = {
+                    "line": node.lineno,
+                    "col": node.col_offset,
+                    "source_line": ctx.source_line(node.lineno),
+                    "edges": parsed,
+                }
 
     for node in ast.walk(ctx.tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -303,16 +267,15 @@ def extract_typestate(ctx: FileContext) -> Summary | None:
 
         _EvidenceWalk(record).walk(node.body, [])
 
-    if table is None and jobstate_of is None and not callsites:
+    if table is None and not callsites:
         return None
-    return {"table": table, "jobstate_of": jobstate_of, "callsites": callsites}
+    return {"table": table, "callsites": callsites}
 
 
 def resolve_evidence(
     facts: Sequence[Fact],
     states: frozenset[str],
     edges: dict[str, list[str]],
-    jobstate_of: dict[str, str] | None,
 ) -> frozenset[str]:
     """Concrete from-state set implied by symbolic *facts* under a table."""
     evidence = set(states)
@@ -326,14 +289,6 @@ def resolve_evidence(
             matched = {str(value)} & states
         elif kind == "terminal":
             matched = set(terminal)
-        elif kind == "can":
-            matched = {state for state in states if str(value) in edges.get(state, [])}
-        elif kind == "jobstate":
-            if jobstate_of is None:
-                continue  # collapse map unknown: no narrowing
-            matched = {
-                state for state in states if jobstate_of.get(state) == str(value)
-            }
         else:
             continue
         if fact.get("neg"):
@@ -351,7 +306,6 @@ class TypestateModel:
     table_col: int
     table_source_line: str
     edges: dict[str, list[str]]
-    jobstate_of: dict[str, str] | None
     #: (path, callsite-summary) pairs, path-sorted.
     callsites: tuple[tuple[str, dict[str, object]], ...]
 
@@ -375,17 +329,12 @@ class TypestateModel:
 def build_model(summaries: Sequence[tuple[str, Summary]]) -> TypestateModel | None:
     """Merge path-sorted summaries; None when no table is in the set."""
     table_entry: tuple[str, dict[str, object]] | None = None
-    jobstate_of: dict[str, str] | None = None
     callsites: list[tuple[str, dict[str, object]]] = []
     for path, summary in summaries:
         table = summary.get("table")
         if table is not None and table_entry is None:
             assert isinstance(table, dict)
             table_entry = (path, table)
-        collapse = summary.get("jobstate_of")
-        if collapse is not None and jobstate_of is None:
-            assert isinstance(collapse, dict)
-            jobstate_of = {str(k): str(v) for k, v in collapse.items()}
         raw_sites = summary.get("callsites")
         assert isinstance(raw_sites, list)
         for site in raw_sites:
@@ -402,7 +351,6 @@ def build_model(summaries: Sequence[tuple[str, Summary]]) -> TypestateModel | No
         table_col=int(table["col"]),  # type: ignore[call-overload]
         table_source_line=str(table["source_line"]),
         edges={str(k): [str(t) for t in v] for k, v in edges_raw.items()},
-        jobstate_of=jobstate_of,
         callsites=tuple(callsites),
     )
 
@@ -416,7 +364,7 @@ def edge_coverage(
         target = str(site["target"])
         facts = site.get("facts")
         assert isinstance(facts, list)
-        evidence = resolve_evidence(facts, model.states, model.edges, model.jobstate_of)
+        evidence = resolve_evidence(facts, model.states, model.edges)
         for source in evidence & model.sources_of(target):
             covered.add((source, target))
     all_edges = model.all_edges()

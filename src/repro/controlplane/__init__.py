@@ -1,19 +1,20 @@
-"""The cluster control plane: lifecycle state machine, controller, snapshots.
+"""The cluster control plane: controller, transition log, snapshots.
 
 One typed path for every job-state mutation in the simulated cluster —
 scheduler placements, quota preemptions, failure recovery, serving
 autoscaling, and user kills all flow through :class:`ClusterController`,
-which validates each move against the :class:`JobLifecycle` state machine
-and appends it to the authoritative :class:`TransitionLog`.
+which checks each move against :data:`LEGAL_TRANSITIONS`, moves
+``Job.lifecycle``, and appends it to the authoritative
+:class:`TransitionLog`.
 """
 
-from .controller import ClusterController, ReplicaHost, TimelineEvent
+from .controller import ClusterController, ReplicaHost
 from .lifecycle import (
     LEGAL_TRANSITIONS,
     Actor,
     Cause,
-    JobLifecycle,
     LifecycleState,
+    TimelineEvent,
     Transition,
     TransitionLog,
 )
@@ -23,7 +24,6 @@ __all__ = [
     "Actor",
     "Cause",
     "ClusterController",
-    "JobLifecycle",
     "LEGAL_TRANSITIONS",
     "LifecycleState",
     "ReplicaHost",

@@ -5,11 +5,12 @@ the arrival path, the scheduler's start/preempt callbacks, the failure
 injector's consequences, the serving autoscaler's retirements, and user
 kills from ``tcloud`` — mutates job and cluster state.  Each mutation:
 
-1. validates against the :class:`~repro.controlplane.lifecycle.JobLifecycle`
-   state machine (illegal transitions raise instead of corrupting state);
-2. applies the matching :class:`~repro.workload.job.Job` transition and
-   resource change (allocate/free, placement hooks, utilization
-   accounting);
+1. applies the resource change (allocate/free, placement hooks,
+   utilization accounting) and the matching :class:`~repro.workload.job.Job`
+   work-accounting method;
+2. moves ``job.lifecycle`` in :meth:`ClusterController._apply`, the one
+   place that checks :data:`~repro.workload.job.LEGAL_TRANSITIONS` (illegal
+   transitions raise instead of corrupting state);
 3. appends one typed :class:`~repro.controlplane.lifecycle.Transition` to
    the :class:`~repro.controlplane.lifecycle.TransitionLog` — the single
    source from which churn counters, the timeline, ``tcloud history``,
@@ -23,36 +24,18 @@ authoritative record that it happened.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import TYPE_CHECKING, Callable, Iterable, Protocol
 
 from ..cluster.cluster import Cluster
-from ..errors import SchedulingError, SimulationError
+from ..errors import IllegalTransitionError, SchedulingError, SimulationError
 from ..ids import JobId, NodeId
 from ..sched.base import Scheduler
-from ..workload.job import FailureCategory, Job, JobState
-from .lifecycle import (
-    LIFECYCLE_OF_JOB_STATE,
-    Actor,
-    Cause,
-    JobLifecycle,
-    LifecycleState,
-    Transition,
-    TransitionLog,
-)
+from ..workload.job import LEGAL_TRANSITIONS, FailureCategory, Job, LifecycleState
+from .lifecycle import Actor, Cause, Transition, TransitionLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.metrics import MetricsCollector
-
-
-@dataclass(frozen=True)
-class TimelineEvent:
-    """One recorded lifecycle event (``record_timeline=True`` runs)."""
-
-    time: float
-    kind: str  # submit|reject|start|preempt|requeue|complete|fail|kill|node_down|node_up
-    subject: str  # job id or node id
-    detail: str = ""
 
 
 class ReplicaHost(Protocol):
@@ -64,6 +47,13 @@ class ReplicaHost(Protocol):
 
     def on_replica_stop(self, now: float, job: Job) -> None: ...
 
+
+#: Lifecycle states a scheduler may start a job from (the sources of RUNNING).
+_STARTABLE = tuple(
+    source
+    for source, targets in LEGAL_TRANSITIONS.items()
+    if LifecycleState.RUNNING in targets
+)
 
 #: Outcome planned for one attempt: ("complete" | "fail" | "walltime", category).
 AttemptOutcome = tuple[str, "FailureCategory | None"]
@@ -80,7 +70,6 @@ class ClusterController:
         *,
         checkpoint_loss_s: float = 30.0,
         max_job_preemptions: int = 0,
-        record_timeline: bool = False,
         record_transitions: bool = True,
     ) -> None:
         self.cluster = cluster
@@ -88,12 +77,9 @@ class ClusterController:
         self.metrics = metrics
         self.checkpoint_loss_s = checkpoint_loss_s
         self.max_job_preemptions = max_job_preemptions
-        self.record_timeline = record_timeline
         self.jobs: dict[JobId, Job] = {}
         self.running: dict[JobId, Job] = {}
-        self.lifecycles: dict[JobId, JobLifecycle] = {}
         self.log = TransitionLog(retain_records=record_transitions)
-        self.timeline: list[TimelineEvent] = []
         #: Planned outcome per (job, attempt); consumed when the attempt ends.
         self.attempt_outcomes: dict[tuple[JobId, int], AttemptOutcome] = {}
         #: Cumulative running wall time per job (wall-time enforcement).
@@ -118,14 +104,8 @@ class ClusterController:
     def track(self, job: Job) -> None:
         """Register a job with the control plane (trace load / submission)."""
         self.jobs[job.job_id] = job
-        self.lifecycles[job.job_id] = JobLifecycle(
-            job.job_id, LIFECYCLE_OF_JOB_STATE[job.state]
-        )
-        if not job.state.terminal:
+        if not job.lifecycle.terminal:
             self._live_jobs += 1
-
-    def lifecycle_of(self, job_id: JobId) -> JobLifecycle:
-        return self.lifecycles[job_id]
 
     @property
     def live_jobs(self) -> int:
@@ -190,14 +170,10 @@ class ClusterController:
 
     def ensure_startable(self, job: Job, placement: dict[NodeId, int]) -> int:
         """Validate a scheduler's start request; returns the granted GPU total."""
-        if job.state is not JobState.QUEUED:
-            raise SchedulingError(
-                f"scheduler tried to start {job.job_id} in state {job.state.value}"
-            )
-        if not self.lifecycles[job.job_id].can(LifecycleState.RUNNING):
+        if job.lifecycle not in _STARTABLE:
             raise SchedulingError(
                 f"scheduler tried to start {job.job_id} in lifecycle state "
-                f"{self.lifecycles[job.job_id].state.value}"
+                f"{job.lifecycle.value}"
             )
         total = sum(placement.values())
         floor = job.elastic_min_gpus if job.elastic else job.num_gpus
@@ -217,7 +193,11 @@ class ClusterController:
         slowdown: float,
         setup_s: float = 0.0,
     ) -> None:
-        """Allocate resources and move the job to RUNNING."""
+        """Allocate resources and move the job to RUNNING.
+
+        The RUNNING edge is taken right after ``job.start`` so the
+        scheduler's and serving fleet's start hooks see a running job.
+        """
         total = self.ensure_startable(job, placement)
         request = job.request
         self.cluster.allocate(
@@ -235,10 +215,6 @@ class ClusterController:
             granted_gpus=total,
             setup_s=setup_s,
         )
-        self.scheduler.notify_start(job, now)
-        self.running[job.job_id] = job
-        if job.service_id is not None and self.serving is not None:
-            self.serving.on_replica_start(now, job, dict(placement))
         self._apply(
             now,
             job,
@@ -247,6 +223,10 @@ class ClusterController:
             Actor.SCHEDULER,
             detail=f"gpus={total} nodes={len(placement)}",
         )
+        self.scheduler.notify_start(job, now)
+        self.running[job.job_id] = job
+        if job.service_id is not None and self.serving is not None:
+            self.serving.on_replica_start(now, job, dict(placement))
 
     def set_outcome(self, job: Job, outcome: AttemptOutcome) -> None:
         """Record the planned outcome of the job's current attempt."""
@@ -292,7 +272,7 @@ class ClusterController:
 
     def preempt(self, now: float, job: Job) -> None:
         """Gracefully evict a running job (scheduler/quota reclaim)."""
-        if job.state is not JobState.RUNNING:
+        if job.lifecycle is not LifecycleState.RUNNING:
             raise SchedulingError(
                 f"scheduler tried to preempt {job.job_id} in state {job.state.value}"
             )
@@ -328,9 +308,9 @@ class ClusterController:
         detail: str = "user",
     ) -> None:
         """Kill a queued or running job (user cancel, replica retirement)."""
-        if job.state.terminal:
+        if job.lifecycle.terminal:
             return
-        if job.state is JobState.RUNNING:
+        if job.lifecycle is LifecycleState.RUNNING:
             self._release(now, job)
         else:
             self.scheduler.remove(job.job_id)
@@ -347,7 +327,7 @@ class ClusterController:
         victim_ids = sorted(self.cluster.fail_node(node_id))
         for job_id in victim_ids:
             job = self.jobs[job_id]
-            if job.state is not JobState.RUNNING:
+            if job.lifecycle is not LifecycleState.RUNNING:
                 continue
             self._release(now, job)
             if job.attempts > max_restarts:
@@ -374,13 +354,13 @@ class ClusterController:
                 self.scheduler.enqueue(job, now)
         self.metrics.node_failures += 1
         self.metrics.on_healthy_changed(now, self.cluster.healthy_gpus)
-        self._record_infra(now, "node_down", node_id)
+        self.log.note_node(now, "node_down", node_id)
         return victim_ids
 
     def apply_node_repair(self, now: float, node_id: NodeId) -> None:
         self.cluster.repair_node(node_id)
         self.metrics.on_healthy_changed(now, self.cluster.healthy_gpus)
-        self._record_infra(now, "node_up", node_id)
+        self.log.note_node(now, "node_up", node_id)
 
     # -- internals ----------------------------------------------------------------
 
@@ -407,26 +387,20 @@ class ClusterController:
         actor: Actor,
         detail: str = "",
     ) -> Transition:
-        """The single transition path: validate, log, account, record."""
-        transition = self.lifecycles[job.job_id].advance(
-            target,
-            time=now,
-            cause=cause,
-            actor=actor,
-            attempt=job.attempts,
-            detail=detail,
-        )
-        if job.state is not target.job_state:
-            raise SimulationError(
-                f"lifecycle desync for {job.job_id}: job is {job.state.value}, "
-                f"lifecycle reached {target.value}"
+        """The single transition path: validate, move, log, account."""
+        source = job.lifecycle
+        if target not in LEGAL_TRANSITIONS[source]:
+            raise IllegalTransitionError(
+                f"job {job.job_id}: illegal lifecycle transition "
+                f"{source.value} -> {target.value} "
+                f"(cause={cause.value}, actor={actor.value}, t={now})"
             )
+        job.lifecycle = target
+        transition = Transition(
+            job.job_id, now, source, target, cause, actor, job.attempts, detail
+        )
         self.log.append(transition)
         self._account(transition)
-        if self.record_timeline:
-            self.timeline.append(
-                TimelineEvent(now, transition.timeline_kind, job.job_id, detail)
-            )
         return transition
 
     def _account(self, transition: Transition) -> None:
@@ -461,6 +435,7 @@ class ClusterController:
         downstream_ids = self.dependents.pop(transition.job_id, None)
         if not downstream_ids:
             return
+        upstream_record = len(self.log.records) - 1
         satisfied = transition.target is LifecycleState.FINISHED
         for job_id in downstream_ids:
             unmet = self.waiting_on.get(job_id)
@@ -481,7 +456,4 @@ class ClusterController:
                     self.on_deps_ready(transition.time, job_id)
                 else:
                     self.release_deps(transition.time, self.jobs[job_id])
-
-    def _record_infra(self, now: float, kind: str, subject: str) -> None:
-        if self.record_timeline:
-            self.timeline.append(TimelineEvent(now, kind, subject))
+        self.log.hold_back(upstream_record)

@@ -1,27 +1,19 @@
-"""The typed job-lifecycle state machine.
+"""Transition records and the transition log: the one history of a run.
 
-Every job in the simulated cluster moves through one explicit lifecycle::
-
-                      ┌────────────────────────────┐
-    PENDING ──admit──► ADMITTED ──place──► RUNNING ├──complete──► FINISHED
-       │                 │  ▲                │ │ │ └──fail──────► FAILED
-       └──reject/kill──► KILLED ◄──kill──────┘ │ └─node_failure─► RESTARTING
-                                               └────preempt────► PREEMPTED
-    (PREEMPTED / RESTARTING ──place──► RUNNING again, or terminal)
-    (workflow stages: PENDING ──deps_hold──► PENDING_DEPS, which exits via
-    deps_release──► ADMITTED or upstream_failed/kill──► KILLED / FAILED)
-
-States are *observations* layered over :class:`~repro.workload.job.Job`:
-the five-state ``JobState`` persisted on the job collapses ADMITTED /
-PREEMPTED / RESTARTING into ``QUEUED``; the lifecycle keeps them distinct
-because *why* a job is queued (fresh, evicted, crashed) is exactly what
-operational metrics and the timeline need.
-
-Every mutation produces a frozen :class:`Transition` record carrying the
-cause, the actor that requested it, and the simulated timestamp.  Illegal
+The job state machine itself — :class:`LifecycleState` and
+:data:`LEGAL_TRANSITIONS` — lives with the job in
+:mod:`repro.workload.job` and is re-exported here.  Every lifecycle move
+the control plane makes produces a frozen :class:`Transition` record
+carrying the cause, the actor that requested it, and the simulated
+timestamp, appended to the run's :class:`TransitionLog`.  Illegal
 transitions raise :class:`~repro.errors.IllegalTransitionError` instead of
 silently corrupting metrics — the state machine is the contract, not a
 convention.
+
+The run's timeline is not a second list: :meth:`TransitionLog.timeline`
+derives it on read from the retained records plus a few positional notes
+(node_down/node_up events, and upstream edges reported after the cascade
+they triggered).
 """
 
 from __future__ import annotations
@@ -30,92 +22,17 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator
 
-from ..errors import IllegalTransitionError
-from ..workload.job import JobState
+from ..workload.job import LEGAL_TRANSITIONS, LifecycleState
 
-
-class LifecycleState(enum.Enum):
-    """Control-plane view of where a job is in its life."""
-
-    PENDING = "pending"  # submitted, arrival not yet processed
-    PENDING_DEPS = "pending_deps"  # workflow stage held on upstream stages
-    ADMITTED = "admitted"  # accepted and enqueued with the scheduler
-    RUNNING = "running"
-    PREEMPTED = "preempted"  # gracefully evicted, back in the queue
-    RESTARTING = "restarting"  # evicted by a node failure, back in the queue
-    FINISHED = "finished"
-    KILLED = "killed"
-    FAILED = "failed"
-
-    @property
-    def terminal(self) -> bool:
-        return self in _TERMINAL
-
-    @property
-    def job_state(self) -> JobState:
-        """The coarse five-state ``JobState`` this lifecycle state maps to."""
-        return _JOB_STATE_OF[self]
-
-
-_TERMINAL = frozenset(
-    {LifecycleState.FINISHED, LifecycleState.KILLED, LifecycleState.FAILED}
-)
-
-_JOB_STATE_OF: dict[LifecycleState, JobState] = {
-    LifecycleState.PENDING: JobState.QUEUED,
-    LifecycleState.PENDING_DEPS: JobState.QUEUED,
-    LifecycleState.ADMITTED: JobState.QUEUED,
-    LifecycleState.RUNNING: JobState.RUNNING,
-    LifecycleState.PREEMPTED: JobState.QUEUED,
-    LifecycleState.RESTARTING: JobState.QUEUED,
-    LifecycleState.FINISHED: JobState.COMPLETED,
-    LifecycleState.KILLED: JobState.KILLED,
-    LifecycleState.FAILED: JobState.FAILED,
-}
-
-#: Lifecycle state corresponding to each coarse job state (used to seed the
-#: lifecycle of jobs that enter the simulation already started/terminal).
-LIFECYCLE_OF_JOB_STATE: dict[JobState, LifecycleState] = {
-    JobState.QUEUED: LifecycleState.PENDING,
-    JobState.RUNNING: LifecycleState.RUNNING,
-    JobState.COMPLETED: LifecycleState.FINISHED,
-    JobState.KILLED: LifecycleState.KILLED,
-    JobState.FAILED: LifecycleState.FAILED,
-}
-
-#: The complete legal-transition relation.  Anything not listed raises.
-LEGAL_TRANSITIONS: dict[LifecycleState, frozenset[LifecycleState]] = {
-    LifecycleState.PENDING: frozenset(
-        {LifecycleState.PENDING_DEPS, LifecycleState.ADMITTED, LifecycleState.KILLED}
-    ),
-    # Dependency-held stages are invisible to schedulers: the only ways out
-    # are admission (all upstreams finished) or death (an upstream failed /
-    # user kill) — never directly to RUNNING.
-    LifecycleState.PENDING_DEPS: frozenset(
-        {LifecycleState.ADMITTED, LifecycleState.KILLED, LifecycleState.FAILED}
-    ),
-    LifecycleState.ADMITTED: frozenset(
-        {LifecycleState.RUNNING, LifecycleState.KILLED, LifecycleState.FAILED}
-    ),
-    LifecycleState.RUNNING: frozenset(
-        {
-            LifecycleState.FINISHED,
-            LifecycleState.FAILED,
-            LifecycleState.KILLED,
-            LifecycleState.PREEMPTED,
-            LifecycleState.RESTARTING,
-        }
-    ),
-    LifecycleState.PREEMPTED: frozenset(
-        {LifecycleState.RUNNING, LifecycleState.KILLED, LifecycleState.FAILED}
-    ),
-    LifecycleState.RESTARTING: frozenset(
-        {LifecycleState.RUNNING, LifecycleState.KILLED, LifecycleState.FAILED}
-    ),
-    LifecycleState.FINISHED: frozenset(),
-    LifecycleState.KILLED: frozenset(),
-    LifecycleState.FAILED: frozenset(),
-}
+__all__ = [
+    "LEGAL_TRANSITIONS",
+    "Actor",
+    "Cause",
+    "LifecycleState",
+    "TimelineEvent",
+    "Transition",
+    "TransitionLog",
+]
 
 
 class Cause(enum.Enum):
@@ -166,6 +83,16 @@ _TIMELINE_KIND: dict[LifecycleState, str] = {
 
 
 @dataclass(frozen=True)
+class TimelineEvent:
+    """One timeline entry: a job's lifecycle edge or a node going down/up."""
+
+    time: float
+    kind: str  # submit|hold|reject|start|preempt|requeue|complete|fail|kill|node_down|node_up
+    subject: str  # job id or node id
+    detail: str = ""
+
+
+@dataclass(frozen=True)
 class Transition:
     """One recorded edge of one job's lifecycle."""
 
@@ -196,69 +123,22 @@ class Transition:
         return line
 
 
-class JobLifecycle:
-    """The live state machine of one job.
-
-    Owns only the current :class:`LifecycleState`; history lives in the
-    controller's :class:`TransitionLog`.  :meth:`advance` is the *only*
-    way to move, and it validates against :data:`LEGAL_TRANSITIONS`.
-    """
-
-    __slots__ = ("job_id", "state")
-
-    def __init__(
-        self, job_id: str, state: LifecycleState = LifecycleState.PENDING
-    ) -> None:
-        self.job_id = job_id
-        self.state = state
-
-    def can(self, target: LifecycleState) -> bool:
-        return target in LEGAL_TRANSITIONS[self.state]
-
-    def advance(
-        self,
-        target: LifecycleState,
-        *,
-        time: float,
-        cause: Cause,
-        actor: Actor,
-        attempt: int,
-        detail: str = "",
-    ) -> Transition:
-        if not self.can(target):
-            raise IllegalTransitionError(
-                f"job {self.job_id}: illegal lifecycle transition "
-                f"{self.state.value} -> {target.value} "
-                f"(cause={cause.value}, actor={actor.value}, t={time})"
-            )
-        transition = Transition(
-            job_id=self.job_id,
-            time=time,
-            source=self.state,
-            target=target,
-            cause=cause,
-            actor=actor,
-            attempt=attempt,
-            detail=detail,
-        )
-        self.state = target
-        return transition
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"JobLifecycle({self.job_id!r}, {self.state.value})"
-
-
 class TransitionLog:
     """Append-only record of every lifecycle transition in a run.
 
     The single authoritative history: the timeline, churn metrics, the
-    ``tcloud history`` verb, and the ops report all derive from it.
+    ``tcloud history`` verb, and the ops report all derive from it.  The
+    timeline (:meth:`timeline`) is derived on read from the records plus
+    a short list of positional notes: node failures and repairs
+    (:meth:`note_node`), and upstream edges reported after the cascade
+    into their dependents (:meth:`hold_back`).
 
     ``retain_records=False`` keeps every count exact but drops the record
     objects themselves (``records`` stays empty, :meth:`for_job` returns
-    nothing).  At fleet scale a month-long million-job run emits several
-    million transitions — gigabytes of :class:`Transition` objects that
-    nothing reads when the caller only wants aggregate metrics.
+    nothing, and the timeline holds node events only).  At fleet scale a
+    month-long million-job run emits several million transitions —
+    gigabytes of :class:`Transition` objects that nothing reads when the
+    caller only wants aggregate metrics.
     """
 
     def __init__(self, retain_records: bool = True) -> None:
@@ -268,6 +148,9 @@ class TransitionLog:
         self._by_target: dict[LifecycleState, int] = {}
         self._by_cause: dict[Cause, int] = {}
         self._by_pair: dict[tuple[LifecycleState, Cause], int] = {}
+        #: (timeline position in records, node event or held-back record
+        #: index), in the order noted.
+        self._notes: list[tuple[int, TimelineEvent | int]] = []
 
     def append(self, transition: Transition) -> None:
         if self.retain_records:
@@ -300,6 +183,44 @@ class TransitionLog:
     def for_job(self, job_id: str) -> list[Transition]:
         return [t for t in self.records if t.job_id == job_id]
 
+    def note_node(self, time: float, kind: str, node_id: str) -> None:
+        """Note a node_down/node_up event after the records logged so far."""
+        self._notes.append((len(self.records), TimelineEvent(time, kind, node_id)))
+
+    def hold_back(self, index: int) -> None:
+        """Move record *index* past the records logged after it.
+
+        An upstream's terminal edge triggers its dependents' edges while
+        it is being accounted, so they are logged after it; the timeline
+        reports the upstream once its whole cascade has happened.
+        """
+        if index + 1 < len(self.records):
+            self._notes.append((len(self.records), index))
+
+    def timeline(self) -> list[TimelineEvent]:
+        """Every retained transition as a timeline event, in log order,
+        with the noted node events and held-back records placed where
+        they were noted."""
+        notes_at: dict[int, list[TimelineEvent | int]] = {}
+        for position, note in self._notes:
+            notes_at.setdefault(position, []).append(note)
+        held = {note for _, note in self._notes if isinstance(note, int)}
+        events: list[TimelineEvent] = []
+        for position in range(len(self.records) + 1):
+            for note in notes_at.get(position, ()):
+                events.append(
+                    note if isinstance(note, TimelineEvent) else _as_event(self.records[note])
+                )
+            if position < len(self.records) and position not in held:
+                events.append(_as_event(self.records[position]))
+        return events
+
     def by_cause(self) -> dict[str, int]:
         """Cause -> count, in first-seen order (reporting)."""
         return {cause.value: count for cause, count in self._by_cause.items()}
+
+
+def _as_event(transition: Transition) -> TimelineEvent:
+    return TimelineEvent(
+        transition.time, transition.timeline_kind, transition.job_id, transition.detail
+    )

@@ -321,7 +321,7 @@ class FederationSimulator:
                 if not self._may_move(job, now):
                     continue
                 # Waiting time since the job last held resources here (or
-                # since submission if it never ran).  JobLifecycle keeps no
+                # since submission if it never ran).  Job.lifecycle keeps no
                 # timestamps, so this is a deliberate conservative proxy.
                 waited = now - (
                     job.last_start_time

@@ -1,8 +1,9 @@
 """Timeline analysis and ASCII Gantt rendering.
 
-When a run is recorded (``SimConfig(record_timeline=True)``), its
-:class:`~repro.sim.simulator.TimelineEvent` stream reconstructs every
-job's life as segments — queued, running, terminal — which
+A run's timeline (``SimulationResult.timeline``, derived on read from
+the control plane's transition log) is a stream of
+:class:`~repro.controlplane.lifecycle.TimelineEvent` that reconstructs
+every job's life as segments — queued, running, terminal — which
 :func:`render_gantt` draws as an ASCII chart.  Invaluable for eyeballing
 *why* a schedule looks the way it does (who blocked whom, where
 preemptions landed) and for teaching examples; not meant for

@@ -30,8 +30,15 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from ..cluster.cluster import Cluster
-from ..controlplane.controller import ClusterController, TimelineEvent
-from ..controlplane.lifecycle import Actor, Cause, LifecycleState, Transition
+from ..controlplane.controller import ClusterController
+from ..controlplane.lifecycle import (
+    Actor,
+    Cause,
+    LifecycleState,
+    TimelineEvent,
+    Transition,
+    TransitionLog,
+)
 from ..errors import ConfigError, SimulationError
 from ..execlayer.runtime import RuntimeRegistry
 from ..execlayer.speedup import ExecutionModel, UnitExecutionModel
@@ -89,14 +96,13 @@ class SimConfig:
         max_job_preemptions: A job preempted more than this many times is
             failed with ``PREEMPTION_LIMIT`` instead of requeued forever
             (0 = unlimited).
-        record_timeline: Record every lifecycle event as a
-            :class:`TimelineEvent` on the result (Gantt rendering,
-            debugging).  Off by default: it grows with job count.
         record_transitions: Retain the control plane's individual
             :class:`Transition` records on the result.  On by default;
             fleet-scale runs (~1M jobs) turn it off to save gigabytes —
             all aggregate counts (``log.count``, churn metrics, the ops
-            report's by-cause table) stay exact either way.
+            report's by-cause table) stay exact either way.  The timeline
+            is derived from these records, so without them it holds node
+            events only.
     """
 
     sample_interval_s: float = 600.0
@@ -108,7 +114,6 @@ class SimConfig:
     seed: int = 0
     enforce_walltime: bool = False
     max_job_preemptions: int = 0
-    record_timeline: bool = False
     record_transitions: bool = True
 
 
@@ -124,15 +129,23 @@ class SimulationResult:
     samples: list[Sample]
     end_time: float
     events_processed: int
-    timeline: list["TimelineEvent"] = field(default_factory=list)
-    #: The control plane's full transition log: every lifecycle edge of
-    #: every job, with cause/actor/timestamp.  Empty when the run set
-    #: ``record_transitions=False`` (fleet scale); aggregate counts are
-    #: kept exact on the controller's log either way.
-    transitions: list[Transition] = field(default_factory=list)
+    #: The control plane's transition log: every lifecycle edge of every
+    #: job, with cause/actor/timestamp.  Its records are empty when the run
+    #: set ``record_transitions=False`` (fleet scale); aggregate counts are
+    #: exact either way.
+    log: TransitionLog = field(default_factory=TransitionLog)
     #: Hot-path counters (wall time, nodes examined).  Observational only:
     #: excluded from summary() so results stay byte-identical across runs.
     perf: PerfCounters = field(default_factory=PerfCounters)
+
+    @property
+    def transitions(self) -> list[Transition]:
+        return self.log.records
+
+    @property
+    def timeline(self) -> list[TimelineEvent]:
+        """Lifecycle and node events, derived from the log when read."""
+        return self.log.timeline()
 
     def summary(self) -> dict[str, float]:
         row = self.metrics.as_row()
@@ -166,20 +179,18 @@ class ClusterSimulator:
         self.engine = SimulationEngine()
         self.metrics = MetricsCollector(total_gpus=cluster.total_gpus)
         # The control plane owns all job/cluster mutations; the simulator's
-        # job/running/timeline attributes alias its structures so existing
-        # observers (schedulers, dashboards, tests) read the same state.
+        # job/running attributes alias its structures so existing observers
+        # (schedulers, dashboards, tests) read the same state.
         self.controller = ClusterController(
             cluster,
             scheduler,
             self.metrics,
             checkpoint_loss_s=self.config.checkpoint_loss_s,
             max_job_preemptions=self.config.max_job_preemptions,
-            record_timeline=self.config.record_timeline,
             record_transitions=self.config.record_transitions,
         )
         self.jobs: dict[JobId, Job] = self.controller.jobs
         self.running: dict[JobId, Job] = self.controller.running
-        self.timeline: list[TimelineEvent] = self.controller.timeline
         self._tick_pending = False
         # Static-feasibility verdicts per distinct request shape: node specs
         # never change mid-run, so the answer is a pure function of the shape.
@@ -242,6 +253,11 @@ class ClusterSimulator:
                 engine.schedule_at(0.0, MetricsSample())
 
     # -- public API ---------------------------------------------------------------
+
+    @property
+    def timeline(self) -> list[TimelineEvent]:
+        """Lifecycle and node events so far, derived from the log when read."""
+        return self.controller.log.timeline()
 
     def submit_job(self, job: Job) -> None:
         """Dynamically submit a job to a live simulation (tcloud path).
@@ -316,8 +332,7 @@ class ClusterSimulator:
             samples=self.metrics.samples,
             end_time=now,
             events_processed=self.engine.events_processed,
-            timeline=self.timeline,
-            transitions=self.controller.log.records,
+            log=self.controller.log,
             perf=self.perf,
         )
 
@@ -349,7 +364,7 @@ class ClusterSimulator:
         """
         unmet: list[JobId] = []
         for upstream_id in job.depends_on:
-            state = self.controller.lifecycle_of(upstream_id).state
+            state = self.jobs[upstream_id].lifecycle
             if state is LifecycleState.FINISHED:
                 continue
             if state.terminal:
@@ -368,10 +383,7 @@ class ClusterSimulator:
         self.engine.schedule_at(now, DependencyRelease(job_id))
 
     def _on_dependency_release(self, now: float, event: DependencyRelease) -> None:
-        if (
-            self.controller.lifecycle_of(event.job_id).state
-            is not LifecycleState.PENDING_DEPS
-        ):
+        if self.jobs[event.job_id].lifecycle is not LifecycleState.PENDING_DEPS:
             return  # killed (or cascade-killed) while held; release is stale
         self.controller.release_deps(now, self.jobs[event.job_id])
         self._request_tick(now)
@@ -606,10 +618,7 @@ class ClusterSimulator:
         plane.
         """
         for job in self.scheduler.queue:
-            if (
-                self.controller.lifecycle_of(job.job_id).state
-                is LifecycleState.PENDING_DEPS
-            ):
+            if job.lifecycle is LifecycleState.PENDING_DEPS:
                 raise SimulationError(
                     f"dependency-held job {job.job_id} leaked into the scheduler queue"
                 )

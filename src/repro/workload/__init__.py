@@ -8,6 +8,7 @@ from .job import (
     Job,
     JobState,
     JobTier,
+    LifecycleState,
     ResourceRequest,
 )
 from .models import (
@@ -48,6 +49,7 @@ __all__ = [
     "FleetTraceSynthesizer",
     "Job",
     "JobState",
+    "LifecycleState",
     "JobTier",
     "ModelProfile",
     "PipelineSynthesizer",

@@ -1,4 +1,4 @@
-"""Job model and lifecycle state machine.
+"""Job model and its lifecycle state machine.
 
 A :class:`Job` is the unit the scheduler reasons about: a resource request
 plus service-time semantics.  ``duration`` is the job's *work* — the wall
@@ -7,14 +7,25 @@ The execution layer stretches that by a slowdown factor for slower GPU types
 or spread-out placements, and preemption checkpoints the remaining work, so
 a job's lifetime can span several run attempts.
 
-State machine (enforced by the transition methods)::
+Every job moves through one explicit lifecycle, stored on the job as
+``Job.lifecycle``::
 
-    QUEUED ──start──▶ RUNNING ──complete──▶ COMPLETED
-      ▲                  │ │ \──fail──▶ FAILED
-      └────requeue───────┘ └──kill──▶ KILLED
-           (preempt / node failure)
+                      ┌────────────────────────────┐
+    PENDING ──admit──► ADMITTED ──place──► RUNNING ├──complete──► FINISHED
+       │                 │  ▲                │ │ │ └──fail──────► FAILED
+       └──reject/kill──► KILLED ◄──kill──────┘ │ └─node_failure─► RESTARTING
+                                               └────preempt────► PREEMPTED
+    (PREEMPTED / RESTARTING ──place──► RUNNING again, or terminal)
+    (workflow stages: PENDING ──deps_hold──► PENDING_DEPS, which exits via
+    deps_release──► ADMITTED or upstream_failed/kill──► KILLED / FAILED)
 
-Terminal states are COMPLETED, FAILED and KILLED.
+:data:`LEGAL_TRANSITIONS` is the complete relation.  The control plane's
+``ClusterController._apply`` is the only code that checks it and the only
+writer of ``Job.lifecycle``.  The coarse five-state :class:`JobState` that
+schedulers and metrics read (``Job.state``) is a projection: ADMITTED,
+PENDING, PENDING_DEPS, PREEMPTED and RESTARTING all read as ``QUEUED``.
+The :class:`Job` transition methods are pure work accounting: they check
+their arguments and book progress and GPU-seconds, never state.
 """
 
 from __future__ import annotations
@@ -36,6 +47,68 @@ class JobState(enum.Enum):
     @property
     def terminal(self) -> bool:
         return self in (JobState.COMPLETED, JobState.FAILED, JobState.KILLED)
+
+
+class LifecycleState(enum.Enum):
+    """Where a job is in its life (the value of ``Job.lifecycle``)."""
+
+    PENDING = ("pending", JobState.QUEUED)  # submitted, arrival not yet processed
+    PENDING_DEPS = ("pending_deps", JobState.QUEUED)  # held on upstream stages
+    ADMITTED = ("admitted", JobState.QUEUED)  # enqueued with the scheduler
+    RUNNING = ("running", JobState.RUNNING)
+    PREEMPTED = ("preempted", JobState.QUEUED)  # gracefully evicted, requeued
+    RESTARTING = ("restarting", JobState.QUEUED)  # evicted by a node failure
+    FINISHED = ("finished", JobState.COMPLETED)
+    KILLED = ("killed", JobState.KILLED)
+    FAILED = ("failed", JobState.FAILED)
+
+    def __new__(cls, value: str, job_state: JobState) -> LifecycleState:
+        member = object.__new__(cls)
+        member._value_ = value
+        # Plain member attributes, not a dict keyed by the enum: Job.state
+        # and the controller read them on every transition, and
+        # Enum.__hash__ is Python-level.
+        member.job_state = job_state
+        member.terminal = job_state.terminal
+        return member
+
+    job_state: JobState
+    terminal: bool
+
+
+#: The complete legal-transition relation.  Anything not listed raises.
+LEGAL_TRANSITIONS: dict[LifecycleState, frozenset[LifecycleState]] = {
+    LifecycleState.PENDING: frozenset(
+        {LifecycleState.PENDING_DEPS, LifecycleState.ADMITTED, LifecycleState.KILLED}
+    ),
+    # Dependency-held stages are invisible to schedulers: the only ways out
+    # are admission (all upstreams finished) or death (an upstream failed /
+    # user kill) — never directly to RUNNING.
+    LifecycleState.PENDING_DEPS: frozenset(
+        {LifecycleState.ADMITTED, LifecycleState.KILLED, LifecycleState.FAILED}
+    ),
+    LifecycleState.ADMITTED: frozenset(
+        {LifecycleState.RUNNING, LifecycleState.KILLED, LifecycleState.FAILED}
+    ),
+    LifecycleState.RUNNING: frozenset(
+        {
+            LifecycleState.FINISHED,
+            LifecycleState.FAILED,
+            LifecycleState.KILLED,
+            LifecycleState.PREEMPTED,
+            LifecycleState.RESTARTING,
+        }
+    ),
+    LifecycleState.PREEMPTED: frozenset(
+        {LifecycleState.RUNNING, LifecycleState.KILLED, LifecycleState.FAILED}
+    ),
+    LifecycleState.RESTARTING: frozenset(
+        {LifecycleState.RUNNING, LifecycleState.KILLED, LifecycleState.FAILED}
+    ),
+    LifecycleState.FINISHED: frozenset(),
+    LifecycleState.KILLED: frozenset(),
+    LifecycleState.FAILED: frozenset(),
+}
 
 
 class JobTier(enum.Enum):
@@ -126,7 +199,8 @@ class Job:
     """One schedulable job with live lifecycle state.
 
     Static trace fields come first; fields below the comment are runtime
-    state mutated only through the transition methods.
+    state.  ``lifecycle`` is written only by ``ClusterController._apply``;
+    the rest only by the transition methods the controller calls.
 
     ``slots=True`` matters at fleet scale: a million-job trace holds a
     million live ``Job`` objects, and slots cut both per-instance memory
@@ -168,8 +242,8 @@ class Job:
     #: job's ``last_nodes`` before they can start (0 = none declared).
     artifact_bytes: float = 0.0
 
-    # -- runtime state (managed by transition methods) --
-    state: JobState = JobState.QUEUED
+    # -- runtime state (lifecycle: the control plane; the rest: transition methods) --
+    lifecycle: LifecycleState = field(default=LifecycleState.PENDING, init=False)
     remaining_work: float = field(init=False)
     attempts: int = 0
     preemptions: int = 0
@@ -222,6 +296,11 @@ class Job:
     # -- derived quantities ---------------------------------------------------
 
     @property
+    def state(self) -> JobState:
+        """The coarse five-state projection of :attr:`lifecycle`."""
+        return self.lifecycle.job_state
+
+    @property
     def num_gpus(self) -> int:
         return self.request.num_gpus
 
@@ -249,7 +328,7 @@ class Job:
 
     @property
     def finished(self) -> bool:
-        return self.state.terminal
+        return self.lifecycle.terminal
 
     def expected_runtime(self, slowdown: float = 1.0) -> float:
         """Wall time to finish remaining work at the given slowdown."""
@@ -261,7 +340,7 @@ class Job:
         ``remaining_work`` is only checkpointed at segment boundaries;
         this extrapolates through the current running segment.
         """
-        if self.state is JobState.RUNNING and self.last_start_time is not None:
+        if self.lifecycle is LifecycleState.RUNNING and self.last_start_time is not None:
             elapsed = max(0.0, now - self.last_start_time - self.current_setup_s)
             return max(0.0, self.remaining_work - elapsed / self.current_slowdown)
         return self.remaining_work
@@ -272,19 +351,14 @@ class Job:
         Backfill reservations use this, never the true duration — mirroring
         real systems where the scheduler only sees wall-time limits.
         """
-        if self.state is JobState.RUNNING and self.last_start_time is not None:
+        if self.lifecycle is LifecycleState.RUNNING and self.last_start_time is not None:
             elapsed = now - self.last_start_time
             return max(0.0, self.walltime_estimate - elapsed)
         return self.walltime_estimate or 0.0
 
-    # -- transitions ---------------------------------------------------------
-
-    def _require_state(self, expected: JobState, action: str) -> None:
-        if self.state is not expected:
-            raise JobStateError(
-                f"cannot {action} job {self.job_id}: state is "
-                f"{self.state.value}, expected {expected.value}"
-            )
+    # -- transitions: work accounting only --------------------------------------
+    # The control plane checks the lifecycle edge and moves ``lifecycle``
+    # right after each of these returns.
 
     def start(
         self,
@@ -294,14 +368,13 @@ class Job:
         granted_gpus: int | None = None,
         setup_s: float = 0.0,
     ) -> None:
-        """QUEUED → RUNNING on the given nodes at the given slowdown.
+        """Begin an attempt on the given nodes at the given slowdown.
 
         ``granted_gpus`` defaults to the full request; elastic jobs may be
         granted anywhere in ``[elastic_min_gpus, num_gpus]``.  ``setup_s``
         is the provisioning/staging head of this attempt: resources are
         held (GPU-seconds accrue) but no *work* progresses during it.
         """
-        self._require_state(JobState.QUEUED, "start")
         if slowdown <= 0:
             raise ValidationError(f"slowdown must be positive, got {slowdown}")
         if now < self.submit_time:
@@ -316,7 +389,6 @@ class Job:
                 f"job {self.job_id} granted {granted} GPUs outside "
                 f"[{floor}, {self.num_gpus}]"
             )
-        self.state = JobState.RUNNING
         self.attempts += 1
         self.last_start_time = now
         if self.first_start_time is None:
@@ -345,12 +417,11 @@ class Job:
         self.productive_gpu_seconds += work * self.num_gpus
 
     def preempt(self, now: float, checkpoint_loss: float = 0.0) -> None:
-        """RUNNING → QUEUED, checkpointing progress.
+        """End a running attempt gracefully, checkpointing progress.
 
         ``checkpoint_loss`` seconds of completed work are lost (re-done on
         the next attempt), modelling checkpoint granularity.
         """
-        self._require_state(JobState.RUNNING, "preempt")
         self._accrue(now)
         before = self.remaining_work
         self.remaining_work = min(self.duration, self.remaining_work + checkpoint_loss)
@@ -362,30 +433,26 @@ class Job:
         # the value stays non-negative.
         self.productive_gpu_seconds -= redone * self.num_gpus
         self.preemptions += 1
-        self.state = JobState.QUEUED
         self.current_nodes = ()
         self.current_gpus = 0
 
     def requeue(self, now: float, work_lost: bool = True) -> None:
-        """RUNNING → QUEUED after an external kill (e.g. node failure).
+        """End a running attempt after an external kill (e.g. node failure).
 
         Unlike :meth:`preempt` there is no graceful checkpoint: when
         ``work_lost`` the whole current attempt's progress is discarded.
         """
-        self._require_state(JobState.RUNNING, "requeue")
         if work_lost:
             assert self.last_start_time is not None
             elapsed = max(0.0, now - self.last_start_time)
             self.gpu_seconds_used += elapsed * (self.current_gpus or self.num_gpus)
         else:
             self._accrue(now)
-        self.state = JobState.QUEUED
         self.current_nodes = ()
         self.current_gpus = 0
 
     def complete(self, now: float) -> None:
-        """RUNNING → COMPLETED; remaining work must be exhausted."""
-        self._require_state(JobState.RUNNING, "complete")
+        """End a running attempt as complete; remaining work must be exhausted."""
         self._accrue(now)
         if self.remaining_work > 1e-6:
             raise JobStateError(
@@ -393,36 +460,28 @@ class Job:
                 "of work remaining"
             )
         self.remaining_work = 0.0
-        self.state = JobState.COMPLETED
         self.end_time = now
         self.current_nodes = ()
         self.current_gpus = 0
 
     def fail(self, now: float, category: FailureCategory) -> None:
-        """RUNNING/QUEUED → FAILED with a taxonomy category.
+        """End the job as failed with a taxonomy category.
 
-        Failing from QUEUED covers administrative failures decided off the
-        node, e.g. exceeding the preemption limit right after an eviction.
+        A running attempt's progress is booked first.  Failing a queued job
+        covers administrative failures decided off the node, e.g. exceeding
+        the preemption limit right after an eviction.
         """
-        if self.state is JobState.RUNNING:
+        if self.lifecycle is LifecycleState.RUNNING:
             self._accrue(now)
-        elif self.state is not JobState.QUEUED:
-            raise JobStateError(
-                f"cannot fail job {self.job_id}: state is {self.state.value}"
-            )
-        self.state = JobState.FAILED
         self.failure_category = category
         self.end_time = now
         self.current_nodes = ()
         self.current_gpus = 0
 
     def kill(self, now: float) -> None:
-        """QUEUED/RUNNING → KILLED (user cancellation)."""
-        if self.state.terminal:
-            raise JobStateError(f"cannot kill job {self.job_id}: already {self.state.value}")
-        if self.state is JobState.RUNNING:
+        """End the job as killed (user cancellation), booking live progress."""
+        if self.lifecycle is LifecycleState.RUNNING:
             self._accrue(now)
-        self.state = JobState.KILLED
         self.end_time = now
         self.current_nodes = ()
         self.current_gpus = 0

@@ -14,7 +14,9 @@ from repro.cluster import (
     build_tacc_cluster,
     uniform_cluster,
 )
-from repro.workload import Job, ResourceRequest
+from repro.errors import IllegalTransitionError
+from repro.workload import Job, LifecycleState, ResourceRequest
+from repro.workload.job import LEGAL_TRANSITIONS
 
 
 @pytest.fixture
@@ -71,6 +73,40 @@ def make_job(
         duration=duration,
         **kwargs,
     )
+
+
+#: The Job work-accounting method ClusterController runs for each edge.
+_ACCOUNTING = {
+    LifecycleState.RUNNING: Job.start,
+    LifecycleState.FINISHED: Job.complete,
+    LifecycleState.FAILED: Job.fail,
+    LifecycleState.KILLED: Job.kill,
+    LifecycleState.PREEMPTED: Job.preempt,
+    LifecycleState.RESTARTING: Job.requeue,
+}
+
+
+def move_job(job, target, now=0.0, *args, **kwargs):
+    """Put a bare job into lifecycle *target* the way the control plane would.
+
+    Runs the job's accounting method for the edge (``start``, ``complete``,
+    ``fail``, …; extra arguments go to it), then moves ``job.lifecycle``.
+    A PENDING job is admitted first when *target* needs it, so a fresh job
+    can be started directly.  Illegal edges raise IllegalTransitionError,
+    as ``ClusterController._apply`` does.
+    """
+    pending = job.lifecycle is LifecycleState.PENDING
+    if pending and target not in LEGAL_TRANSITIONS[LifecycleState.PENDING]:
+        job.lifecycle = LifecycleState.ADMITTED
+    if target not in LEGAL_TRANSITIONS[job.lifecycle]:
+        raise IllegalTransitionError(
+            f"job {job.job_id}: {job.lifecycle.value} -> {target.value}"
+        )
+    accounting = _ACCOUNTING.get(target)
+    if accounting is not None:
+        accounting(job, now, *args, **kwargs)
+    job.lifecycle = target
+    return job
 
 
 @pytest.fixture

@@ -27,9 +27,10 @@ from repro.sched.base import ScheduleContext
 from repro.sched.placement.transfer_aware import TransferAwarePlacement
 from repro.sim import ClusterSimulator, SimConfig
 from repro.sim.failures import FailureConfig
+from repro.workload import LifecycleState
 from repro.workload.models import assign_models
 from repro.workload.synth import TraceSynthesizer, tacc_campus, with_load
-from tests.conftest import make_job
+from tests.conftest import make_job, move_job
 
 TACC_GPUS = 176
 LOAD = 1.5
@@ -170,7 +171,7 @@ def _deferral_setup(stage_walltime_s: float):
     ):
         job = make_job(job_id, num_gpus=8, duration=walltime, walltime_estimate=walltime)
         cluster.allocate(job_id, {node_id: 8})
-        job.start(0.0, (node_id,))
+        move_job(job, LifecycleState.RUNNING, 0.0, (node_id,))
         running[job_id] = job
     upstream = make_job("up", artifact_bytes=50_000e9)
     upstream.last_nodes = (data_node,)

@@ -11,7 +11,7 @@ from repro.controlplane import (
     LEGAL_TRANSITIONS,
     Actor,
     Cause,
-    JobLifecycle,
+    ClusterController,
     LifecycleState,
     Transition,
     TransitionLog,
@@ -19,6 +19,7 @@ from repro.controlplane import (
 from repro.errors import IllegalTransitionError, JobStateError, SchedulingError
 from repro.sched import GreedyFifoScheduler, QuotaConfig, TieredQuotaScheduler
 from repro.sim import ClusterSimulator, SimConfig
+from repro.sim.metrics import MetricsCollector
 from repro.workload import JobState, Trace
 from tests.conftest import make_job
 
@@ -36,8 +37,24 @@ _EDGE_LABEL = {
 }
 
 
+def tracked_job(source: LifecycleState):
+    """A job already in lifecycle *source*, tracked by a bare controller."""
+    cluster = uniform_cluster(1, gpus_per_node=8)
+    controller = ClusterController(
+        cluster, GreedyFifoScheduler(), MetricsCollector(total_gpus=cluster.total_gpus)
+    )
+    job = make_job("job-x")
+    job.lifecycle = source
+    controller.track(job)
+    return controller, job
+
+
 class TestLifecycleMatrix:
-    """Exhaustive legal/illegal transition matrix over all 81 state pairs."""
+    """Exhaustive legal/illegal transition matrix over all 81 state pairs,
+    driven through ``ClusterController._apply`` — the one place that checks
+    LEGAL_TRANSITIONS and moves ``Job.lifecycle``.  This also covers the
+    job-level illegal moves (complete a queued job, start a running one,
+    kill or fail a terminal one)."""
 
     @pytest.mark.parametrize(
         "source,target",
@@ -45,21 +62,20 @@ class TestLifecycleMatrix:
         ids=lambda s: s.value,
     )
     def test_every_pair(self, source, target):
-        lifecycle = JobLifecycle("job-x", source)
+        controller, job = tracked_job(source)
         cause, actor = _EDGE_LABEL[target]
-        legal = target in LEGAL_TRANSITIONS[source]
-        assert lifecycle.can(target) is legal
-        if legal:
-            transition = lifecycle.advance(
-                target, time=1.0, cause=cause, actor=actor, attempt=0
-            )
-            assert lifecycle.state is target
+        if target in LEGAL_TRANSITIONS[source]:
+            transition = controller._apply(1.0, job, target, cause, actor)
+            assert job.lifecycle is target
+            assert job.state is target.job_state
             assert transition.source is source
             assert transition.target is target
+            assert controller.log.records == [transition]
         else:
             with pytest.raises(IllegalTransitionError):
-                lifecycle.advance(target, time=1.0, cause=cause, actor=actor, attempt=0)
-            assert lifecycle.state is source  # unchanged on rejection
+                controller._apply(1.0, job, target, cause, actor)
+            assert job.lifecycle is source  # unchanged on rejection
+            assert len(controller.log) == 0  # and nothing logged
 
     def test_matrix_shape(self):
         # Every state has an entry; terminal states have no outgoing edges.
@@ -70,15 +86,9 @@ class TestLifecycleMatrix:
         assert legal_count == 20
 
     def test_illegal_transition_is_a_job_state_error(self):
-        lifecycle = JobLifecycle("job-x", LifecycleState.FINISHED)
-        with pytest.raises(JobStateError):
-            lifecycle.advance(
-                LifecycleState.RUNNING,
-                time=0.0,
-                cause=Cause.PLACE,
-                actor=Actor.SCHEDULER,
-                attempt=1,
-            )
+        controller, job = tracked_job(LifecycleState.FINISHED)
+        with pytest.raises(JobStateError, match="finished -> running"):
+            controller._apply(0.0, job, LifecycleState.RUNNING, Cause.PLACE, Actor.SCHEDULER)
 
     def test_job_state_projection(self):
         assert LifecycleState.ADMITTED.job_state is JobState.QUEUED
@@ -215,7 +225,7 @@ class TestControllerPaths:
         jobs = [
             make_job("victim", num_gpus=8, duration=9000.0, lab="lab-b", submit_time=0.0),
         ]
-        sim, _sched, _cluster = quota_sim(jobs, max_job_preemptions=1, record_timeline=True)
+        sim, _sched, _cluster = quota_sim(jobs, max_job_preemptions=1)
         sim.engine.run(until=5.0)
         victim = sim.jobs["victim"]
         assert victim.state is JobState.RUNNING
@@ -231,6 +241,25 @@ class TestControllerPaths:
         last = sim.controller.log.for_job("victim")[-1]
         assert last.cause is Cause.PREEMPTION_LIMIT
         assert last.target is LifecycleState.FAILED
+
+    def test_start_hooks_see_a_running_job(self):
+        seen = []
+
+        class Recording(GreedyFifoScheduler):
+            def on_start(self, job, now):
+                seen.append((job.job_id, job.lifecycle, job.attempts))
+
+        cluster = uniform_cluster(1, gpus_per_node=8)
+        sim = ClusterSimulator(
+            cluster,
+            Recording(),
+            Trace([make_job("a", duration=100.0)], name="unit"),
+            config=SimConfig(sample_interval_s=0.0),
+        )
+        sim.run()
+        assert seen == [("a", LifecycleState.RUNNING, 1)]
+        place = sim.controller.log.for_job("a")[1]
+        assert (place.target, place.attempt) == (LifecycleState.RUNNING, 1)
 
     def test_illegal_start_raises_scheduling_error(self):
         job = make_job("a", duration=100.0)

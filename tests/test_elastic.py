@@ -9,8 +9,8 @@ from repro.errors import JobStateError, ValidationError
 from repro.execlayer import ExecutionModel, UnitExecutionModel
 from repro.sched import ElasticScheduler, grant_candidates
 from repro.sim import ClusterSimulator, SimConfig
-from repro.workload import JobState, Trace
-from tests.conftest import make_job
+from repro.workload import JobState, LifecycleState, Trace
+from tests.conftest import make_job, move_job
 
 
 def elastic_job(job_id="e0", num_gpus=8, min_gpus=2, duration=3600.0, **kwargs):
@@ -52,7 +52,7 @@ class TestElasticJobModel:
         job = elastic_job(num_gpus=8, min_gpus=2)
         with pytest.raises(JobStateError, match="granted"):
             job.start(0.0, ("n",), granted_gpus=1)
-        job.start(0.0, ("n",), granted_gpus=4)
+        move_job(job, LifecycleState.RUNNING, 0.0, ("n",), granted_gpus=4)
         assert job.current_gpus == 4
 
     def test_rigid_start_requires_full_grant(self):
@@ -62,8 +62,8 @@ class TestElasticJobModel:
 
     def test_gpu_seconds_use_granted_width(self):
         job = elastic_job(num_gpus=8, min_gpus=2, duration=100.0)
-        job.start(0.0, ("n",), slowdown=2.0, granted_gpus=4)
-        job.preempt(100.0)
+        move_job(job, LifecycleState.RUNNING, 0.0, ("n",), slowdown=2.0, granted_gpus=4)
+        move_job(job, LifecycleState.PREEMPTED, 100.0)
         assert job.gpu_seconds_used == pytest.approx(400.0)  # 4 GPUs × 100 s
 
     def test_csv_roundtrip_preserves_elasticity(self, tmp_path):

@@ -11,7 +11,8 @@ import pytest
 from repro.errors import ConfigError
 from repro.experiments import EXPERIMENTS, fresh_trace_copy, run_experiment
 from repro.experiments.common import campus_trace
-from repro.workload import JobState
+from repro.workload import JobState, LifecycleState
+from tests.conftest import move_job
 
 SCALE = 0.15
 SEED = 3
@@ -135,7 +136,7 @@ class TestHeadlineShapes:
 class TestHelpers:
     def test_fresh_trace_copy_resets_state(self):
         trace = campus_trace(seed=0, scale=0.1, days=1.0, load=0.5)
-        trace.jobs[0].start(trace.jobs[0].submit_time + 1, ("n",))
+        move_job(trace.jobs[0], LifecycleState.RUNNING, trace.jobs[0].submit_time + 1, ("n",))
         copy = fresh_trace_copy(trace)
         assert copy.jobs[0].state is JobState.QUEUED
         assert copy.jobs[0].job_id == trace.jobs[0].job_id

@@ -22,10 +22,10 @@ from repro.sched import EasyBackfillScheduler, FifoScheduler
 from repro.sched.backfill import _release_schedule
 from repro.sched.base import ScheduleContext
 from repro.sim import ClusterSimulator, SimConfig
-from repro.workload import Trace
+from repro.workload import LifecycleState, Trace
 from repro.workload.synth import tacc_campus
 from repro.workload.fleet import fleet_trace
-from tests.conftest import make_job
+from tests.conftest import make_job, move_job
 
 
 class TestRelaxEpoch:
@@ -172,7 +172,7 @@ class TestReleaseLedgerExactness:
         scheduler = EasyBackfillScheduler()
         job = make_job("r", num_gpus=8, duration=500.0, walltime_estimate=1000.0)
         small_cluster.allocate("r", {"v100-000": 8})
-        job.start(0.0, ("v100-000",))
+        move_job(job, LifecycleState.RUNNING, 0.0, ("v100-000",))
         ctx = ScheduleContext(
             now=0.0,
             cluster=small_cluster,
@@ -183,7 +183,7 @@ class TestReleaseLedgerExactness:
         scheduler._sync_ledger(ctx)
         assert len(scheduler._ledger) == 1
         small_cluster.free("r")
-        job.preempt(10.0)
+        move_job(job, LifecycleState.PREEMPTED, 10.0)
         scheduler.enqueue(job, 10.0)
         assert len(scheduler._ledger) == 0
 

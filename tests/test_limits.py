@@ -8,8 +8,8 @@ from repro.cluster import uniform_cluster
 from repro.execlayer import UnitExecutionModel
 from repro.sched import GangScheduler, GreedyFifoScheduler
 from repro.sim import ClusterSimulator, SimConfig
-from repro.workload import FailureCategory, JobState, Trace
-from tests.conftest import make_job
+from repro.workload import FailureCategory, JobState, LifecycleState, Trace
+from tests.conftest import make_job, move_job
 
 
 def run_jobs(jobs, scheduler=None, **config_kwargs):
@@ -93,14 +93,6 @@ class TestPreemptionLimit:
 
     def test_fail_from_queued_state_allowed(self):
         job = make_job("a")
-        job.fail(5.0, FailureCategory.PREEMPTION_LIMIT)
+        move_job(job, LifecycleState.FAILED, 5.0, FailureCategory.PREEMPTION_LIMIT)
         assert job.state is JobState.FAILED
         assert job.end_time == 5.0
-
-    def test_fail_from_terminal_still_rejected(self):
-        from repro.errors import JobStateError
-
-        job = make_job("a")
-        job.kill(1.0)
-        with pytest.raises(JobStateError):
-            job.fail(2.0, FailureCategory.OOM)

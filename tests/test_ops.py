@@ -30,8 +30,8 @@ from repro.ops import (
 )
 from repro.sched import QuotaConfig
 from repro.sim.metrics import Sample
-from repro.workload import JobTier, synthesize
-from tests.conftest import make_job
+from repro.workload import JobTier, LifecycleState, synthesize
+from tests.conftest import make_job, move_job
 
 
 class TestCdf:
@@ -92,7 +92,7 @@ class TestTraceAnalytics:
         jobs = {}
         for index, tier in enumerate([JobTier.GUARANTEED, JobTier.OPPORTUNISTIC]):
             job = make_job(f"j{index}", tier=tier, submit_time=0.0)
-            job.start(100.0 * (index + 1), ("n",))
+            move_job(job, LifecycleState.RUNNING, 100.0 * (index + 1), ("n",))
             jobs[job.job_id] = job
         assert wait_cdf(jobs).values.size == 2
         assert wait_cdf(jobs, tier="guaranteed").values.size == 1
@@ -105,8 +105,8 @@ class TestTraceAnalytics:
 
     def test_slowdown_stats(self):
         job = make_job("a", duration=1000.0, submit_time=0.0)
-        job.start(1000.0, ("n",))
-        job.complete(2000.0)
+        move_job(job, LifecycleState.RUNNING, 1000.0, ("n",))
+        move_job(job, LifecycleState.FINISHED, 2000.0)
         stats = slowdown_stats({"a": job})
         assert stats["mean"] == pytest.approx(2.0)
 
@@ -125,8 +125,8 @@ class TestFairness:
 
     def test_gpu_hours_by_entity(self):
         job_a = make_job("a", num_gpus=2, duration=3600.0, lab="lab-x")
-        job_a.start(0.0, ("n",))
-        job_a.complete(3600.0)
+        move_job(job_a, LifecycleState.RUNNING, 0.0, ("n",))
+        move_job(job_a, LifecycleState.FINISHED, 3600.0)
         job_b = make_job("b", lab="lab-y", tier=JobTier.OPPORTUNISTIC)
         hours = gpu_hours_by_entity({"a": job_a, "b": job_b}, "lab_id")
         assert hours == {"lab-x": pytest.approx(2.0), "lab-y": 0.0}
@@ -140,8 +140,8 @@ class TestFairness:
     def test_quota_adherence(self):
         quota = QuotaConfig(quotas={"lab-x": 10})
         job = make_job("a", num_gpus=10, duration=3600.0, lab="lab-x")
-        job.start(0.0, ("n",))
-        job.complete(3600.0)
+        move_job(job, LifecycleState.RUNNING, 0.0, ("n",))
+        move_job(job, LifecycleState.FINISHED, 3600.0)
         reports = quota_adherence({"a": job}, quota, horizon_s=3600.0)
         assert len(reports) == 1
         assert reports[0].adherence == pytest.approx(1.0)

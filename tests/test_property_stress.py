@@ -173,7 +173,7 @@ def test_quota_never_overcharged(job_dicts):
 @given(job_dicts=st.lists(job_strategy, min_size=2, max_size=10))
 def test_invariants_with_every_feature_enabled(job_dicts):
     """Storage staging + provisioning + walltime enforcement + preemption
-    limits + failure injection + timeline recording, all at once."""
+    limits + failure injection + the derived timeline, all at once."""
     from repro.execlayer import SharedFilesystem, StorageConfig
     from repro.sim import FailureConfig
 
@@ -207,7 +207,6 @@ def test_invariants_with_every_feature_enabled(job_dicts):
             provisioning=True,
             enforce_walltime=True,
             max_job_preemptions=3,
-            record_timeline=True,
             seed=11,
             max_events=500_000,
         ),

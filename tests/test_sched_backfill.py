@@ -9,8 +9,8 @@ from repro.sched import ConservativeBackfillScheduler, EasyBackfillScheduler
 from repro.sched.backfill import compute_reservation
 from repro.sched.base import ScheduleContext
 from repro.sim import ClusterSimulator, SimConfig
-from repro.workload import Trace
-from tests.conftest import make_job
+from repro.workload import LifecycleState, Trace
+from tests.conftest import make_job, move_job
 
 
 def run_trace(scheduler, jobs, num_nodes=1):
@@ -44,17 +44,17 @@ class TestReservation:
     def test_shadow_time_from_estimates(self, small_cluster):
         running = make_job("r", num_gpus=8, duration=500.0, walltime_estimate=1000.0)
         small_cluster.allocate("r", {"v100-000": 8})
-        running.start(0.0, ("v100-000",))
+        move_job(running, LifecycleState.RUNNING, 0.0, ("v100-000",))
         # Fill the rest so the head job must wait for `r`.
         for index, node in enumerate(sorted(small_cluster.nodes)[1:]):
             filler = make_job(f"f{index}", num_gpus=8, walltime_estimate=5000.0)
             small_cluster.allocate(f"f{index}", {node: 8})
-            filler.start(0.0, (node,))
+            move_job(filler, LifecycleState.RUNNING, 0.0, (node,))
             running_map = None
         running_map = {"r": running}
         for index, node in enumerate(sorted(small_cluster.nodes)[1:]):
             job = make_job(f"f{index}", num_gpus=8, walltime_estimate=5000.0)
-            job.start(0.0, (node,))
+            move_job(job, LifecycleState.RUNNING, 0.0, (node,))
             running_map[f"f{index}"] = job
         ctx = self.build_ctx(small_cluster, running_map)
         head = make_job("head", num_gpus=8)

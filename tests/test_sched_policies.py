@@ -17,8 +17,8 @@ from repro.sched import (
 )
 from repro.sched.base import ScheduleContext
 from repro.sim import ClusterSimulator, SimConfig
-from repro.workload import Trace
-from tests.conftest import make_job
+from repro.workload import LifecycleState, Trace
+from tests.conftest import make_job, move_job
 
 
 def run_trace(scheduler, jobs, num_nodes=1):
@@ -56,7 +56,7 @@ class TestQueueManagement:
     def test_enqueue_requires_queued_state(self):
         scheduler = FifoScheduler()
         job = make_job("a")
-        job.kill(0.0)
+        move_job(job, LifecycleState.KILLED, 0.0)
         with pytest.raises(SchedulingError):
             scheduler.enqueue(job, 0.0)
 

@@ -9,8 +9,8 @@ from repro.cluster import uniform_cluster
 from repro.errors import QuotaError
 from repro.sched import GangScheduler, QuotaConfig, TieredQuotaScheduler, TiresiasScheduler
 from repro.sim import ClusterSimulator, SimConfig
-from repro.workload import JobState, JobTier, Trace
-from tests.conftest import make_job
+from repro.workload import JobState, JobTier, LifecycleState, Trace
+from tests.conftest import make_job, move_job
 
 
 def run_trace(scheduler, jobs, num_nodes=1, until=None):
@@ -92,7 +92,7 @@ class TestTiresias:
         scheduler = TiresiasScheduler(queue_threshold_gpu_s=100.0)
         job = make_job("a", num_gpus=2, duration=1000.0)
         assert scheduler.attained_service(job, now=0.0) == 0.0
-        job.start(0.0, ("n",))
+        move_job(job, LifecycleState.RUNNING, 0.0, ("n",))
         assert scheduler.attained_service(job, now=30.0) == pytest.approx(60.0)
         assert scheduler.queue_index_running(job, now=30.0) == 0
         assert scheduler.queue_index_running(job, now=60.0) == 1
@@ -279,14 +279,14 @@ class TestVictimEligibility:
         )
         victim.gpu_seconds_used = 1e6  # demoted to queue 1
         hetero_cluster.allocate("rtx-hog", {"rtx3090-000": 4})
-        victim.start(0.0, ("rtx3090-000",))
+        move_job(victim, LifecycleState.RUNNING, 0.0, ("rtx3090-000",))
         # Fill the A100 nodes with non-preemptible work.
         blocker_a = make_job("block-a", num_gpus=8, duration=10_000.0, gpu_type="a100-80")
         blocker_b = make_job("block-b", num_gpus=8, duration=10_000.0, gpu_type="a100-80")
         hetero_cluster.allocate("block-a", {"a100-80-000": 8})
         hetero_cluster.allocate("block-b", {"a100-80-001": 8})
-        blocker_a.start(0.0, ("a100-80-000",))
-        blocker_b.start(0.0, ("a100-80-001",))
+        move_job(blocker_a, LifecycleState.RUNNING, 0.0, ("a100-80-000",))
+        move_job(blocker_b, LifecycleState.RUNNING, 0.0, ("a100-80-001",))
         waiting = make_job("wants-a100", num_gpus=8, duration=100.0, gpu_type="a100-80")
         scheduler.enqueue(waiting, 0.0)
         preempted = []

@@ -8,8 +8,8 @@ import pytest
 from repro.errors import ConfigError, SimulationError
 from repro.sim.failures import FailureConfig, FailureInjector
 from repro.sim.metrics import MetricsCollector, percentiles, summarize
-from repro.workload import FailureCategory, JobTier
-from tests.conftest import make_job
+from repro.workload import FailureCategory, JobTier, LifecycleState
+from tests.conftest import make_job, move_job
 
 
 class TestPercentiles:
@@ -57,11 +57,11 @@ class TestUtilizationIntegral:
 class TestSummarize:
     def build_population(self):
         done = make_job("a", duration=100.0, submit_time=0.0)
-        done.start(50.0, ("n",))
-        done.complete(150.0)
+        move_job(done, LifecycleState.RUNNING, 50.0, ("n",))
+        move_job(done, LifecycleState.FINISHED, 150.0)
         failed = make_job("b", duration=100.0, submit_time=0.0, lab="lab-01")
-        failed.start(0.0, ("n",))
-        failed.fail(40.0, FailureCategory.OOM)
+        move_job(failed, LifecycleState.RUNNING, 0.0, ("n",))
+        move_job(failed, LifecycleState.FAILED, 40.0, FailureCategory.OOM)
         waiting = make_job("c", duration=10.0, submit_time=5.0, tier=JobTier.OPPORTUNISTIC)
         return {"a": done, "b": failed, "c": waiting}
 

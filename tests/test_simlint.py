@@ -105,9 +105,29 @@ class TestRules:
         assert [f.rule_id for f in findings] == ["R2"]
 
     def test_r3_exempts_the_control_plane(self):
+        # Owners may write runtime fields, but not Job.lifecycle: that
+        # write belongs to ClusterController._apply alone.
         source = fixture_source("r3_bad")
-        assert analyze_source(source, "src/repro/controlplane/controller.py") == []
-        assert analyze_source(source, "src/repro/workload/job.py") == []
+        for path in ("src/repro/controlplane/controller.py", "src/repro/workload/job.py"):
+            findings = analyze_source(source, path)
+            assert [(f.rule_id, f.line) for f in findings] == [("R3", 11)]
+            assert "_apply" in findings[0].message
+
+    def test_r3_lifecycle_written_only_in_apply(self):
+        source = (
+            "class ClusterController:\n"
+            "    def _apply(self, job, target):\n"
+            "        job.lifecycle = target\n"
+            "    def start(self, job, target):\n"
+            "        job.lifecycle = target\n"
+        )
+        findings = analyze_source(source, "src/repro/controlplane/controller.py")
+        assert [(f.rule_id, f.line) for f in findings] == [("R3", 5)]
+        # Outside the control plane even an _apply may not move it, nor may
+        # the job's own methods.
+        assert [f.line for f in analyze_source(source, "src/repro/sched/x.py")] == [3, 5]
+        own = "class Job:\n    def start(self):\n        self.lifecycle = 1\n"
+        assert [f.line for f in analyze_source(own, "src/repro/workload/job.py")] == [3]
 
     def test_r4_flags_non_integer_rank(self):
         source = (
@@ -221,7 +241,7 @@ class TestTypestate:
     """R11: the real lifecycle table is fully covered; drift is caught."""
 
     CONTROLPLANE = (
-        "src/repro/controlplane/lifecycle.py",
+        "src/repro/workload/job.py",
         "src/repro/controlplane/controller.py",
     )
 
@@ -257,6 +277,15 @@ class TestTypestate:
             and "{PENDING}" in m
             for m in messages
         ), messages
+
+    def test_lifecycle_guard_alone_exposes_an_illegal_edge(self):
+        findings = analyze_source(
+            fixture_source("r11_bad_lifecycle_guard"), RULE_FIXTURES["R11"][1]
+        )
+        assert [f.rule_id for f in findings] == ["R11"]
+        assert "resume()" in findings[0].message
+        assert "{FINISHED}" in findings[0].message
+        assert "{ADMITTED}" in findings[0].message
 
     def test_bad_fixture_reports_the_dead_table_edge(self):
         findings = analyze_source(

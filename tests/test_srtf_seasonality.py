@@ -11,8 +11,14 @@ from repro.errors import ConfigError
 from repro.execlayer import UnitExecutionModel
 from repro.sched import SrtfScheduler, make_scheduler
 from repro.sim import ClusterSimulator, SimConfig
-from repro.workload import Trace, TraceSynthesizer, deadline_cycle, tacc_campus
-from tests.conftest import make_job
+from repro.workload import (
+    LifecycleState,
+    Trace,
+    TraceSynthesizer,
+    deadline_cycle,
+    tacc_campus,
+)
+from tests.conftest import make_job, move_job
 
 
 def run_trace(scheduler, jobs, num_nodes=1, checkpoint_loss=0.0):
@@ -107,7 +113,7 @@ class TestRemainingWorkAt:
 
     def test_running_extrapolates_with_slowdown(self):
         job = make_job("a", duration=100.0)
-        job.start(0.0, ("n",), slowdown=2.0)
+        move_job(job, LifecycleState.RUNNING, 0.0, ("n",), slowdown=2.0)
         assert job.remaining_work_at(100.0) == pytest.approx(50.0)
         assert job.remaining_work_at(1e9) == 0.0
 

@@ -90,6 +90,21 @@ class TestFrontend:
         assert status.state == "completed"
         assert status.progress == pytest.approx(1.0)
 
+    def test_progress_excludes_the_provisioning_head(self):
+        frontend = TaccFrontend()  # provisioning on by default
+        job_id, _c, _w = frontend.submit(demo_spec(), duration_hint_s=3600.0)
+        job = frontend.sim.jobs[job_id]
+        assert job.current_setup_s > 71.0
+        frontend.advance(71.0)  # still provisioning: no work done yet
+        status = frontend.status(job_id)
+        assert status.state == "running"
+        assert status.progress == 0.0
+        [lines] = frontend.logs(job_id).values()
+        assert lines[-1].split()[1:3] == ["step", "0/1000"]
+        frontend.advance(job.current_setup_s - 71.0 + 360.0)  # 360 s of running
+        expected = 360.0 / job.current_slowdown / job.duration
+        assert frontend.status(job_id).progress == pytest.approx(expected)
+
     def test_validation_errors_block_submission(self):
         frontend = TaccFrontend()
         bad = demo_spec(resources=ResourceSpec(num_gpus=64, gpus_per_node=8, gpu_type="a100-80"))

@@ -1,4 +1,4 @@
-"""Tests for timeline recording and Gantt reconstruction."""
+"""Tests for the derived timeline and Gantt reconstruction."""
 
 from __future__ import annotations
 
@@ -24,21 +24,33 @@ def run_recorded(jobs, scheduler=None, **config_kwargs):
         scheduler or GreedyFifoScheduler(),
         Trace(list(jobs)),
         exec_model=UnitExecutionModel(),
-        config=SimConfig(record_timeline=True, **config_kwargs),
+        config=SimConfig(**config_kwargs),
     )
     return simulator.run()
 
 
 class TestRecording:
-    def test_off_by_default(self):
-        cluster = uniform_cluster(1, gpus_per_node=8)
+    def test_derived_from_the_transition_log(self):
+        job = make_job("a", duration=100.0, submit_time=5.0)
+        result = run_recorded([job])
+        assert [(e.time, e.kind, e.subject, e.detail) for e in result.timeline] == [
+            (t.time, t.timeline_kind, t.job_id, t.detail) for t in result.transitions
+        ]
+
+    def test_without_records_only_node_events_remain(self):
+        from repro.sim import FailureConfig
+
         result = ClusterSimulator(
-            cluster,
+            uniform_cluster(1, gpus_per_node=8),
             GreedyFifoScheduler(),
-            Trace([make_job("a", duration=10.0)]),
-            config=SimConfig(sample_interval_s=0.0),
+            Trace([make_job("a", duration=20 * 3600.0)]),
+            failure_config=FailureConfig(mtbf_hours=2.0),
+            config=SimConfig(sample_interval_s=0.0, record_transitions=False),
         ).run()
-        assert result.timeline == []
+        assert result.transitions == []
+        assert len(result.log) > 0
+        kinds = {event.kind for event in result.timeline}
+        assert kinds == {"node_down", "node_up"}
 
     def test_happy_path_events(self):
         job = make_job("a", duration=100.0, submit_time=5.0)

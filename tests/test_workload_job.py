@@ -1,4 +1,4 @@
-"""Tests for the job model and its lifecycle state machine."""
+"""Tests for the job model: requests, work accounting, estimates."""
 
 from __future__ import annotations
 
@@ -10,9 +10,10 @@ from repro.workload import (
     FailurePlan,
     JobState,
     JobTier,
+    LifecycleState,
     ResourceRequest,
 )
-from tests.conftest import make_job
+from tests.conftest import make_job, move_job
 
 
 class TestResourceRequest:
@@ -81,8 +82,8 @@ class TestJobConstruction:
 class TestLifecycle:
     def test_happy_path_metrics(self):
         job = make_job(duration=100.0, submit_time=10.0)
-        job.start(30.0, ("n1",), slowdown=1.0)
-        job.complete(130.0)
+        move_job(job, LifecycleState.RUNNING, 30.0, ("n1",), slowdown=1.0)
+        move_job(job, LifecycleState.FINISHED, 130.0)
         assert job.state is JobState.COMPLETED
         assert job.wait_time == 20.0
         assert job.jct == 120.0
@@ -91,81 +92,70 @@ class TestLifecycle:
 
     def test_slowdown_stretches_wall_time(self):
         job = make_job(duration=100.0, num_gpus=2)
-        job.start(0.0, ("n1",), slowdown=2.0)
+        move_job(job, LifecycleState.RUNNING, 0.0, ("n1",), slowdown=2.0)
         # After 100 wall seconds at 2x slowdown only half the work is done.
-        job.preempt(100.0, checkpoint_loss=0.0)
+        move_job(job, LifecycleState.PREEMPTED, 100.0, checkpoint_loss=0.0)
         assert job.remaining_work == pytest.approx(50.0)
         assert job.gpu_seconds_used == pytest.approx(200.0)
 
     def test_preempt_checkpoint_loss(self):
         job = make_job(duration=100.0)
-        job.start(0.0, ("n1",))
-        job.preempt(60.0, checkpoint_loss=10.0)
+        move_job(job, LifecycleState.RUNNING, 0.0, ("n1",))
+        move_job(job, LifecycleState.PREEMPTED, 60.0, checkpoint_loss=10.0)
         assert job.remaining_work == pytest.approx(50.0)
         assert job.preemptions == 1
         assert job.state is JobState.QUEUED
 
     def test_checkpoint_loss_never_exceeds_duration(self):
         job = make_job(duration=100.0)
-        job.start(0.0, ("n1",))
-        job.preempt(1.0, checkpoint_loss=1e9)
+        move_job(job, LifecycleState.RUNNING, 0.0, ("n1",))
+        move_job(job, LifecycleState.PREEMPTED, 1.0, checkpoint_loss=1e9)
         assert job.remaining_work == pytest.approx(100.0)
 
     def test_resume_after_preemption(self):
         job = make_job(duration=100.0)
-        job.start(0.0, ("n1",))
-        job.preempt(40.0)
-        job.start(50.0, ("n2",))
-        job.complete(110.0)
+        move_job(job, LifecycleState.RUNNING, 0.0, ("n1",))
+        move_job(job, LifecycleState.PREEMPTED, 40.0)
+        move_job(job, LifecycleState.RUNNING, 50.0, ("n2",))
+        move_job(job, LifecycleState.FINISHED, 110.0)
         assert job.attempts == 2
         assert job.first_start_time == 0.0
         assert job.wait_time == 0.0  # measured to FIRST start
 
     def test_requeue_discards_attempt_work(self):
         job = make_job(duration=100.0)
-        job.start(0.0, ("n1",))
-        job.requeue(30.0, work_lost=True)
+        move_job(job, LifecycleState.RUNNING, 0.0, ("n1",))
+        move_job(job, LifecycleState.RESTARTING, 30.0, work_lost=True)
         assert job.remaining_work == pytest.approx(100.0)
         assert job.gpu_seconds_used == pytest.approx(30.0)  # wasted but spent
         assert job.preemptions == 0  # requeue is not a preemption
 
     def test_fail_records_category(self):
         job = make_job(duration=100.0)
-        job.start(0.0, ("n1",))
-        job.fail(20.0, FailureCategory.OOM)
+        move_job(job, LifecycleState.RUNNING, 0.0, ("n1",))
+        move_job(job, LifecycleState.FAILED, 20.0, FailureCategory.OOM)
         assert job.state is JobState.FAILED
         assert job.failure_category is FailureCategory.OOM
         assert job.end_time == 20.0
 
     def test_kill_from_queue(self):
         job = make_job()
-        job.kill(5.0)
+        move_job(job, LifecycleState.KILLED, 5.0)
         assert job.state is JobState.KILLED
         assert job.wait_time is None
 
     def test_kill_while_running(self):
         job = make_job(duration=100.0)
-        job.start(0.0, ("n1",))
-        job.kill(10.0)
+        move_job(job, LifecycleState.RUNNING, 0.0, ("n1",))
+        move_job(job, LifecycleState.KILLED, 10.0)
         assert job.state is JobState.KILLED
         assert job.gpu_seconds_used == pytest.approx(10.0)
 
     def test_complete_requires_exhausted_work(self):
         job = make_job(duration=100.0)
-        job.start(0.0, ("n1",))
+        move_job(job, LifecycleState.RUNNING, 0.0, ("n1",))
         with pytest.raises(JobStateError, match="remaining"):
             job.complete(50.0)
-
-    def test_illegal_transitions(self):
-        job = make_job()
-        with pytest.raises(JobStateError):
-            job.complete(1.0)  # not running
-        job.start(0.0, ("n1",))
-        with pytest.raises(JobStateError):
-            job.start(1.0, ("n1",))  # already running
-        job.complete(job.duration)
-        with pytest.raises(JobStateError):
-            job.kill(1e9)  # terminal
 
     def test_start_before_submit_rejected(self):
         job = make_job(submit_time=100.0)
@@ -185,7 +175,7 @@ class TestEstimates:
 
     def test_estimated_remaining_running_decreases(self):
         job = make_job(duration=100.0, walltime_estimate=400.0)
-        job.start(0.0, ("n1",))
+        move_job(job, LifecycleState.RUNNING, 0.0, ("n1",))
         assert job.estimated_remaining(150.0) == pytest.approx(250.0)
         assert job.estimated_remaining(500.0) == 0.0  # clamped
 

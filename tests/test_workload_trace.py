@@ -9,6 +9,7 @@ from repro.workload import (
     FailureCategory,
     FailurePlan,
     JobTier,
+    LifecycleState,
     MODEL_CATALOG,
     Trace,
     assign_models,
@@ -17,7 +18,7 @@ from repro.workload import (
     profile_of,
     synthesize,
 )
-from tests.conftest import make_job
+from tests.conftest import make_job, move_job
 
 
 def small_trace():
@@ -111,7 +112,7 @@ class TestSerialisation:
 
     def test_runtime_state_not_serialised(self, tmp_path):
         trace = small_trace()
-        trace.jobs[0].start(0.0, ("n1",))
+        move_job(trace.jobs[0], LifecycleState.RUNNING, 0.0, ("n1",))
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         restored = Trace.from_csv(path)
