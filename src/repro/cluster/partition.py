@@ -3,7 +3,8 @@
 The campus cluster exposes partitions per hardware pool (e.g. ``a100``,
 ``v100``, ``consumer``) with different wall-time caps and access tiers.
 Partitions only *admit* jobs; resource accounting stays on the nodes, so a
-partition is a thin policy object over the cluster.
+partition is a thin policy object over the cluster.  Admission itself is
+asked through :func:`~repro.sched.placement.base.admission_rejection`.
 """
 
 from __future__ import annotations
@@ -46,16 +47,6 @@ class PartitionSpec:
             raise ConfigError(f"partition {self.name}: max_walltime_hours must be positive")
         if self.max_gpus_per_job is not None and self.max_gpus_per_job <= 0:
             raise ConfigError(f"partition {self.name}: max_gpus_per_job must be positive")
-
-    def admits(self, num_gpus: int, walltime_hours: float, tier: str) -> bool:
-        """True when a job with these characteristics may enter the partition."""
-        if self.max_gpus_per_job is not None and num_gpus > self.max_gpus_per_job:
-            return False
-        if self.max_walltime_hours is not None and walltime_hours > self.max_walltime_hours:
-            return False
-        if self.allowed_tiers and tier not in self.allowed_tiers:
-            return False
-        return True
 
     def rejection_reason(
         self, num_gpus: int, walltime_hours: float, tier: str

@@ -143,6 +143,7 @@ class FederationSimulator:
         self.trace = trace
         self.policy = policy
         self.sites = [FederationSite(name, sim) for name, sim in sites]
+        self._sims = tuple(sims)
         self.tick_s = tick_s
         self.migrate_after_wait_s = migrate_after_wait_s
         self.wan_gbps = wan_gbps
@@ -224,7 +225,7 @@ class FederationSimulator:
     # -- routing -------------------------------------------------------------------
 
     def _route(self, job: Job) -> None:
-        chosen = self._policy_fn(self.sites, job)
+        chosen = self._policy_fn(self._sims, job)
         if chosen is None:
             # Infeasible everywhere: submit to the first site so its
             # admission path rejects it with the ordinary bookkeeping.

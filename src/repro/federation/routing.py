@@ -5,43 +5,33 @@ receive it, or ``None`` when no site could *ever* run it (the federation
 then submits to the first site, whose admission path rejects it with the
 ordinary bookkeeping — the job shows up as rejected, not silently lost).
 
-Every policy is a pure function of current site state and breaks ties by
-declaration order, so routing is deterministic for a fixed site list.
-Feasibility uses the sites' memoized static-feasibility probe — the same
-verdict their own admission applies — so a policy never routes a job to
-a site that would reject it while a runnable site exists.
+A policy observes each site only through its
+:class:`~repro.sim.simulator.ClusterSimulator`, is a pure function of
+current site state and breaks ties by declaration order, so routing is
+deterministic for a fixed site list.  Feasibility uses the sites'
+memoized static-feasibility probe — the same verdict their own admission
+applies — so a policy never routes a job to a site that would reject it
+while a runnable site exists.  Both the federated simulator and
+``tcloud``'s :class:`~repro.tcloud.federation.FederatedClient` route
+through this registry.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Sequence
 
 from ..sim.simulator import ClusterSimulator
 from ..workload.job import Job
 
 
-class RoutableSite(Protocol):
-    """What a routing policy may observe about a site (read-only)."""
-
-    @property
-    def name(self) -> str: ...
-
-    @property
-    def sim(self) -> ClusterSimulator: ...
+RoutingPolicy = Callable[[Sequence[ClusterSimulator], Job], "int | None"]
 
 
-RoutingPolicy = Callable[[Sequence[RoutableSite], Job], "int | None"]
+def _feasible(sites: Sequence[ClusterSimulator], job: Job) -> list[int]:
+    return [index for index, sim in enumerate(sites) if sim.statically_feasible(job)]
 
 
-def _feasible(sites: Sequence[RoutableSite], job: Job) -> list[int]:
-    return [
-        index
-        for index, site in enumerate(sites)
-        if site.sim.statically_feasible(job)
-    ]
-
-
-def route_home(sites: Sequence[RoutableSite], job: Job) -> int | None:
+def route_home(sites: Sequence[ClusterSimulator], job: Job) -> int | None:
     """Degenerate baseline: everything to the first site, feasible or not.
 
     Models a fleet without federation — remote sites exist (and count in
@@ -51,13 +41,13 @@ def route_home(sites: Sequence[RoutableSite], job: Job) -> int | None:
     return 0
 
 
-def route_first_feasible(sites: Sequence[RoutableSite], job: Job) -> int | None:
+def route_first_feasible(sites: Sequence[ClusterSimulator], job: Job) -> int | None:
     """First site in declaration order whose hardware can run the job."""
     feasible = _feasible(sites, job)
     return feasible[0] if feasible else None
 
 
-def route_least_queued(sites: Sequence[RoutableSite], job: Job) -> int | None:
+def route_least_queued(sites: Sequence[ClusterSimulator], job: Job) -> int | None:
     """Feasible site with the shallowest queue relative to its size."""
     feasible = _feasible(sites, job)
     if not feasible:
@@ -65,25 +55,25 @@ def route_least_queued(sites: Sequence[RoutableSite], job: Job) -> int | None:
     return min(
         feasible,
         key=lambda index: (
-            sites[index].sim.scheduler.queue_depth
-            / max(1, sites[index].sim.cluster.total_gpus),
+            sites[index].scheduler.queue_depth
+            / max(1, sites[index].cluster.total_gpus),
             index,
         ),
     )
 
 
-def route_most_free(sites: Sequence[RoutableSite], job: Job) -> int | None:
+def route_most_free(sites: Sequence[ClusterSimulator], job: Job) -> int | None:
     """Feasible site with the most free healthy GPUs right now."""
     feasible = _feasible(sites, job)
     if not feasible:
         return None
     return min(
         feasible,
-        key=lambda index: (-sites[index].sim.cluster.free_gpus, index),
+        key=lambda index: (-sites[index].cluster.free_gpus, index),
     )
 
 
-def route_goodput_aware(sites: Sequence[RoutableSite], job: Job) -> int | None:
+def route_goodput_aware(sites: Sequence[ClusterSimulator], job: Job) -> int | None:
     """Feasible site with the lowest committed load per healthy GPU.
 
     Commitment counts GPUs in use *plus* the GPU demand already queued —
@@ -99,7 +89,7 @@ def route_goodput_aware(sites: Sequence[RoutableSite], job: Job) -> int | None:
         return None
 
     def committed_per_healthy(index: int) -> float:
-        sim = sites[index].sim
+        sim = sites[index]
         queued_demand = sum(queued.num_gpus for queued in sim.scheduler.queue)
         committed = sim.cluster.used_gpus + queued_demand + job.num_gpus
         return committed / max(1, sim.cluster.healthy_gpus)

@@ -11,6 +11,11 @@ policies share the same feasibility rules, implemented here:
   each filling its node allocation entirely (gang semantics);
 * every chunk's node must also fit the per-GPU CPU/memory ask.
 
+The same rules answer the static question "could this cluster *ever* run
+this job?": :func:`admission_rejection` is the one verdict the schema
+validator, the simulator's arrival admission and the federation routers
+all ask.
+
 Stateful allocators (HiveD buddy cells) additionally receive
 ``on_allocate`` / ``on_free`` callbacks from the simulator so their internal
 books track the cluster.
@@ -23,7 +28,8 @@ from typing import Iterator, Mapping
 
 from ...cluster.cluster import Cluster
 from ...cluster.node import Node
-from ...ids import JobId, NodeId
+from ...errors import ConfigError
+from ...ids import JobId, NodeId, PartitionId
 from ...workload.job import Job, ResourceRequest
 
 
@@ -39,6 +45,96 @@ def request_chunks(request: ResourceRequest) -> list[int]:
     if per_node is None or request.num_gpus <= per_node:
         return [request.num_gpus]
     return [per_node] * (request.num_gpus // per_node)
+
+
+def partition_rejection(
+    cluster: Cluster,
+    partition: PartitionId | None,
+    num_gpus: int,
+    walltime_hours: float,
+    tier: str,
+) -> str | None:
+    """Why the named partition refuses the job, or ``None`` when it admits.
+
+    Jobs that name no partition bypass partition admission (the campus
+    default); an unknown name is refused, as Slurm would.
+    """
+    if partition is None:
+        return None
+    try:
+        spec = cluster.partitions.get(partition)
+    except ConfigError as error:
+        return str(error)
+    return spec.rejection_reason(num_gpus, walltime_hours, tier)
+
+
+def shape_rejection(
+    cluster: Cluster, request: ResourceRequest, partition: PartitionId | None
+) -> str | None:
+    """Why no empty, healthy *cluster* could host *request*, or ``None``.
+
+    Static: reads node specs only, never live occupancy.  The request needs
+    ``len(chunks)`` nodes of one GPU type, each fitting a chunk's GPUs, CPUs
+    and memory.  A named partition (which must exist) confines the search
+    to its nodes, exactly as arrival admission pins the job to them;
+    otherwise ``request.allowed_nodes`` does.
+    """
+    chunks = request_chunks(request)
+    chunk, needed = chunks[0], len(chunks)
+    cpus, memory_gb = request.cpus_per_gpu * chunk, request.memory_gb_per_gpu * chunk
+    members = (
+        request.allowed_nodes
+        if partition is None
+        else frozenset(cluster.partitions.get(partition).node_ids)
+    )
+    hosts_by_type: dict[str, int] = {}
+    for node in cluster.index.candidate_pool(request.gpu_type):
+        spec = node.spec
+        if members is not None and node.node_id not in members:
+            continue
+        if spec.num_gpus < chunk or spec.cpus < cpus or spec.memory_gb < memory_gb:
+            continue
+        count = hosts_by_type.get(spec.gpu_type, 0) + 1
+        if count >= needed:
+            return None
+        hosts_by_type[spec.gpu_type] = count
+    where = f"cluster {cluster.name!r}"
+    if partition is not None:
+        where = f"partition {partition!r} of {where}"
+    if request.gpu_type is not None:
+        types = sorted(
+            {
+                node.spec.gpu_type
+                for node in cluster.nodes.values()
+                if members is None or node.node_id in members
+            }
+        )
+        if request.gpu_type not in types:
+            return f"{where} has no {request.gpu_type!r} nodes; available types: {types}"
+    return (
+        f"request needs {needed} node(s) of one GPU type hosting {chunk} GPUs "
+        f"(+{cpus} CPUs, {memory_gb:.0f} GB each); {where} has only "
+        f"{max(hosts_by_type.values(), default=0)} such node(s)"
+    )
+
+
+def admission_rejection(
+    cluster: Cluster,
+    request: ResourceRequest,
+    partition: PartitionId | None,
+    walltime_hours: float,
+    tier: str,
+) -> str | None:
+    """Why *cluster* could never run this job, or ``None`` when it could.
+
+    The partition's admission limits first, then the static shape over the
+    partition's nodes.  Arrival admission rejects exactly the jobs this
+    refuses (the simulator memoizes the shape part per request shape), and
+    the validator reports the same text as its cluster error.
+    """
+    return partition_rejection(
+        cluster, partition, request.num_gpus, walltime_hours, tier
+    ) or shape_rejection(cluster, request, partition)
 
 
 def node_fits_chunk(node: Node, request: ResourceRequest, chunk: int) -> bool:

@@ -1,11 +1,13 @@
 """Cross-field validation of task specs against a target cluster.
 
 Schema-level validation (field shapes) lives on the dataclasses; this
-module validates the *semantics* that need context: does the requested GPU
-type exist on the target cluster, does the partition admit the job, does
-the per-GPU memory cover the declared model's working set.  The frontend
-runs these checks at submission so users fail in seconds, not after hours
-in the queue.
+module validates the *semantics* that need context: does the per-GPU
+memory cover the declared model's working set, and could the target
+cluster ever run the task.  The cluster check is
+:func:`~repro.sched.placement.base.admission_rejection`, the verdict the
+simulator's arrival admission applies, so a spec passes here exactly when
+the cluster would admit its job.  The frontend runs these checks at
+submission so users fail in seconds, not after hours in the queue.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 
 from ..cluster.cluster import Cluster
 from ..errors import SchemaError
+from ..sched.placement.base import admission_rejection, request_chunks
 from ..workload.models import MODEL_CATALOG
 from .taskspec import TaskSpec
 from .workflow import WorkflowSpec
@@ -150,44 +153,13 @@ def _validate_model(spec: TaskSpec) -> list[ValidationIssue]:
 def _validate_against_cluster(spec: TaskSpec, cluster: Cluster) -> list[ValidationIssue]:
     issues: list[ValidationIssue] = []
     resources = spec.resources
-    if resources.gpu_type is not None:
-        matching = cluster.nodes_of_type(resources.gpu_type)
-        if not matching:
-            census = sorted(cluster.gpu_census())
-            issues.append(
-                ValidationIssue(
-                    "error",
-                    "resources.gpu_type",
-                    f"cluster {cluster.name!r} has no {resources.gpu_type!r} nodes; "
-                    f"available types: {census}",
-                )
-            )
-            return issues
-
-    chunk = min(resources.num_gpus, resources.gpus_per_node or resources.num_gpus)
-    hosts = [
-        node
-        for node in cluster.nodes.values()
-        if (resources.gpu_type is None or node.spec.gpu_type == resources.gpu_type)
-        and node.spec.num_gpus >= chunk
-        and node.spec.cpus >= resources.cpus_per_gpu * chunk
-        and node.spec.memory_gb >= resources.memory_gb_per_gpu * chunk
-    ]
-    chunks_needed = max(1, resources.num_gpus // chunk)
-    if len(hosts) < chunks_needed:
-        issues.append(
-            ValidationIssue(
-                "error",
-                "resources",
-                f"request needs {chunks_needed} node(s) hosting {chunk} GPUs "
-                f"(+{resources.cpus_per_gpu * chunk} CPUs, "
-                f"{resources.memory_gb_per_gpu * chunk:.0f} GB each); cluster "
-                f"{cluster.name!r} has only {len(hosts)} such node(s)",
-            )
-        )
-
-    chunks = max(1, resources.num_gpus // chunk)
-    if chunks > 1 and not resources.rdma:
+    request = resources.to_request()
+    reason = admission_rejection(
+        cluster, request, resources.partition, resources.walltime_hours, spec.qos.tier
+    )
+    if reason is not None:
+        issues.append(ValidationIssue("error", "resources", reason))
+    if len(request_chunks(request)) > 1 and not resources.rdma:
         issues.append(
             ValidationIssue(
                 "warning",
@@ -197,12 +169,4 @@ def _validate_against_cluster(spec: TaskSpec, cluster: Cluster) -> list[Validati
                 "fabric is free to request",
             )
         )
-
-    if resources.partition is not None and len(cluster.partitions) > 0:
-        partition = cluster.partitions.get(resources.partition)  # raises ConfigError
-        reason = partition.rejection_reason(
-            resources.num_gpus, resources.walltime_hours, spec.qos.tier
-        )
-        if reason is not None:
-            issues.append(ValidationIssue("error", "resources.partition", reason))
     return issues

@@ -39,14 +39,14 @@ from ..controlplane.lifecycle import (
     Transition,
     TransitionLog,
 )
-from ..errors import ConfigError, SimulationError
+from ..errors import SimulationError
 from ..execlayer.runtime import RuntimeRegistry
 from ..execlayer.speedup import ExecutionModel, UnitExecutionModel
 from ..execlayer.transfer import artifact_fetch_seconds
 from ..ids import JobId, NodeId
 from ..perf import PerfCounters
 from ..sched.base import ScheduleContext, Scheduler
-from ..sched.placement.base import request_chunks
+from ..sched.placement.base import partition_rejection, request_chunks, shape_rejection
 from ..workload.job import FailureCategory, Job, JobState
 from ..workload.trace import Trace
 from .engine import SimulationEngine
@@ -192,9 +192,9 @@ class ClusterSimulator:
         self.jobs: dict[JobId, Job] = self.controller.jobs
         self.running: dict[JobId, Job] = self.controller.running
         self._tick_pending = False
-        # Static-feasibility verdicts per distinct request shape: node specs
-        # never change mid-run, so the answer is a pure function of the shape.
-        self._feasibility_cache: dict[tuple[object, ...], bool] = {}
+        # Static shape verdicts per distinct request shape: node specs never
+        # change mid-run, so the answer is a pure function of the shape.
+        self._shape_verdicts: dict[tuple[object, ...], str | None] = {}
         # Fresh counters per run, shared with the cluster index so the
         # placement layer accounts into the same struct.
         self.perf = PerfCounters()
@@ -342,9 +342,13 @@ class ClusterSimulator:
         job = self.jobs[event.job_id]
         if job.state.terminal:
             return  # killed while still pending (tcloud cancel before arrival)
-        if not self._admit_partition(job) or not self._statically_feasible(job):
+        if self._admission_rejection(job) is not None:
             self.controller.reject(now, job)
             return
+        if job.partition is not None:
+            self.controller.restrict_to_partition(
+                job, self.cluster.partitions.get(job.partition).node_ids
+            )
         if job.depends_on:
             unmet = self._unmet_dependencies(now, job)
             if unmet is None:
@@ -387,25 +391,6 @@ class ClusterSimulator:
             return  # killed (or cascade-killed) while held; release is stale
         self.controller.release_deps(now, self.jobs[event.job_id])
         self._request_tick(now)
-
-    def _admit_partition(self, job: Job) -> bool:
-        """Route a partition-named job: admission limits + node restriction.
-
-        Jobs that name no partition bypass routing entirely (the campus
-        default); jobs naming an unknown or rejecting partition are
-        rejected at submission, as Slurm would.
-        """
-        if job.partition is None:
-            return True
-        try:
-            partition = self.cluster.partitions.get(job.partition)
-        except ConfigError:
-            return False
-        walltime_hours = (job.walltime_estimate or job.duration) / 3600.0
-        if not partition.admits(job.num_gpus, walltime_hours, job.tier.value):
-            return False
-        self.controller.restrict_to_partition(job, partition.node_ids)
-        return True
 
     def _on_tick(self, now: float, event: SchedulerTick) -> None:
         self._tick_pending = False
@@ -558,52 +543,46 @@ class ClusterSimulator:
     def statically_feasible(self, job: Job) -> bool:
         """Public static-feasibility probe (memoized; used by routers).
 
-        True iff the request could ever be satisfied on this cluster when
-        empty and healthy — the same verdict arrival admission applies.
+        True iff this cluster, empty and healthy, could ever run the job —
+        the same verdict arrival admission applies.
         """
-        return self._statically_feasible(job)
+        return self._admission_rejection(job) is None
 
-    def _statically_feasible(self, job: Job) -> bool:
-        """Could this request EVER be satisfied on an empty, healthy cluster?
+    def _admission_rejection(self, job: Job) -> str | None:
+        """:func:`~repro.sched.placement.base.admission_rejection` for *job*.
 
-        The verdict depends only on static node specs and the request
-        *shape*, so it is memoized per distinct shape — arrival processing
+        The shape part depends only on static node specs and the request
+        *shape*, so it is memoized per distinct shape: arrival processing
         does the O(cluster) spec scan once per shape instead of once per
         job.
         """
+        if job.partition is not None:  # most jobs name none; skip the arguments
+            reason = partition_rejection(
+                self.cluster,
+                job.partition,
+                job.num_gpus,
+                (job.walltime_estimate or job.duration) / 3600.0,
+                job.tier.value,
+            )
+            if reason is not None:
+                return reason
         request = job.request
         chunks = request_chunks(request)
-        chunk = chunks[0]
         key = (
             request.gpu_type,
-            chunk,
+            chunks[0],
             len(chunks),
             request.cpus_per_gpu,
             request.memory_gb_per_gpu,
             request.allowed_nodes,
+            job.partition,
         )
-        cached = self._feasibility_cache.get(key)
-        if cached is not None:
-            return cached
-        by_type: dict[str, int] = {}
-        feasible = False
-        for node in self.cluster.index.candidate_pool(request.gpu_type):
-            spec = node.spec
-            if request.allowed_nodes is not None and node.node_id not in request.allowed_nodes:
-                continue
-            if spec.num_gpus < chunk:
-                continue
-            if spec.cpus < request.cpus_per_gpu * chunk:
-                continue
-            if spec.memory_gb < request.memory_gb_per_gpu * chunk:
-                continue
-            count = by_type.get(spec.gpu_type, 0) + 1
-            if count >= len(chunks):
-                feasible = True
-                break
-            by_type[spec.gpu_type] = count
-        self._feasibility_cache[key] = feasible
-        return feasible
+        try:
+            return self._shape_verdicts[key]
+        except KeyError:
+            verdict = shape_rejection(self.cluster, request, job.partition)
+            self._shape_verdicts[key] = verdict
+            return verdict
 
     def _maybe_verify(self) -> None:
         every = self.config.verify_every

@@ -2,14 +2,13 @@
 
 from .client import TcloudClient, reset_sessions, session_for
 from .config import DEFAULT_CONFIG_PATH, ClusterProfile, TcloudConfig
-from .federation import ROUTING_POLICIES, FederatedClient, RoutingDecision
+from .federation import FederatedClient, RoutingDecision
 from .frontend import JobStatus, TaccFrontend, synthesize_workspace
 
 __all__ = [
     "DEFAULT_CONFIG_PATH",
     "ClusterProfile",
     "FederatedClient",
-    "ROUTING_POLICIES",
     "RoutingDecision",
     "JobStatus",
     "TaccFrontend",

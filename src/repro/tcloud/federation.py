@@ -3,19 +3,16 @@
 ``tcloud`` can target different cluster instances of the platform by
 changing one configuration line; this module automates the choice.  A
 :class:`FederatedClient` holds one client per profile and routes each
-submission by a pluggable policy:
+submission by one of the federated simulator's policies
+(:data:`~repro.federation.routing.ROUTING_POLICIES`: ``least-queued``, the
+default and what users do by hand, ``most-free``, ``first-feasible``,
+``goodput-aware`` and ``home``), applied to the profiles' simulated
+clusters in profile order.
 
-* ``least-queued`` — the cluster whose pending queue is shallowest
-  relative to its size (the default; what users do by hand);
-* ``most-free`` — the cluster with the most free GPUs right now;
-* ``first-feasible`` — the first cluster (in profile order) whose
-  hardware can satisfy the request at all — useful when only one site
-  has A100s.
-
-Infeasible clusters (validation fails: missing GPU type, oversized
-request) are always excluded before the policy ranks the rest.  The
-router remembers where each job landed, so ``status``/``logs``/``wait``
-proxy transparently.
+Clusters whose validation fails (missing GPU type, oversized request, a
+partition that is unknown there or refuses the job) are excluded before
+the policy ranks the rest.  The router remembers where each job landed,
+so ``status``/``logs``/``wait`` proxy transparently.
 """
 
 from __future__ import annotations
@@ -24,14 +21,13 @@ from dataclasses import dataclass
 
 from ..controlplane.lifecycle import Transition
 from ..errors import ConfigError, SchemaError, SimulationError
+from ..federation.routing import ROUTING_POLICIES
 from ..ids import JobId
 from ..schema.taskspec import TaskSpec
 from ..schema.validate import validate_spec
 from .client import TcloudClient
 from .config import TcloudConfig
 from .frontend import JobStatus
-
-ROUTING_POLICIES = ("least-queued", "most-free", "first-feasible")
 
 
 @dataclass(frozen=True)
@@ -64,7 +60,7 @@ class FederatedClient:
         """
         if policy not in ROUTING_POLICIES:
             raise ConfigError(
-                f"unknown routing policy {policy!r}; known: {list(ROUTING_POLICIES)}"
+                f"unknown routing policy {policy!r}; known: {sorted(ROUTING_POLICIES)}"
             )
         names = profiles or sorted(config.profiles)
         if not names:
@@ -92,37 +88,23 @@ class FederatedClient:
     def route(self, spec: TaskSpec) -> RoutingDecision:
         """Pick the destination cluster for *spec* without submitting."""
         feasible, excluded = self._feasible(spec)
-        if not feasible:
+        policy = ROUTING_POLICIES[self.policy]
+        chosen = None
+        if feasible:
+            # The policy sees the feasible sites in profile order, so ties
+            # break by the order the clients were declared, never by name.
+            frontends = [self.clients[name].frontend for name in feasible]
+            probe = frontends[0].job_for(spec, "route-probe")
+            chosen = policy([frontend.sim for frontend in frontends], probe)
+        if chosen is None:
             raise SchemaError(
                 f"task {spec.name!r} is infeasible on every federated cluster "
                 f"({sorted(self.clients)})"
             )
-        # Ties break by profile order (the order clients were declared),
-        # never by name sort — so routing is deterministic and matches the
-        # "first feasible" intuition across all policies.
-        order = {name: index for index, name in enumerate(self.clients)}
-        if self.policy == "first-feasible":
-            chosen, reason = feasible[0], "first feasible in profile order"
-        elif self.policy == "most-free":
-            chosen = min(
-                feasible,
-                key=lambda name: (
-                    -self.clients[name].frontend.cluster.free_gpus,
-                    order[name],
-                ),
-            )
-            free = self.clients[chosen].frontend.cluster.free_gpus
-            reason = f"most free GPUs ({free})"
-        else:  # least-queued
-            def pressure(name: str) -> float:
-                frontend = self.clients[name].frontend
-                return frontend.scheduler.queue_depth / max(1, frontend.cluster.total_gpus)
-
-            chosen = min(feasible, key=lambda name: (pressure(name), order[name]))
-            reason = f"lowest queue pressure ({pressure(chosen):.3f} jobs/GPU)"
+        headline = (policy.__doc__ or "").strip().splitlines()[0]
         return RoutingDecision(
-            profile=chosen,
-            reason=reason,
+            profile=feasible[chosen],
+            reason=f"{self.policy}: {headline}",
             considered=tuple(feasible),
             excluded=tuple(excluded),
         )

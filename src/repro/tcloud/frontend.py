@@ -129,26 +129,41 @@ class TaccFrontend:
         if workspace is None:
             workspace = synthesize_workspace(spec)
         compile_result = self.compiler.compile(spec, workspace)
-        duration = duration_hint_s or spec.resources.walltime_hours * 3600.0 * 0.4
-        job = Job(
-            job_id=self._ids.next(),
-            user_id=user,
-            lab_id=lab,
-            request=spec.resources.to_request(),
-            submit_time=self.now,
-            duration=duration,
-            tier=spec.qos.job_tier,
-            walltime_estimate=spec.resources.walltime_hours * 3600.0,
-            preemptible=spec.qos.preemptible,
-            model_name=spec.model,
-            name=spec.name,
-        )
+        job = self.job_for(spec, self._ids.next(), user, lab, duration_hint_s)
         self.sim.submit_job(job)
         self._submissions[job.job_id] = _Submission(
             spec=spec, compile_result=compile_result, job=job, warnings=warnings
         )
         self.advance(0.0)  # let the arrival + scheduling pass run
         return job.job_id, compile_result, warnings
+
+    def job_for(
+        self,
+        spec: TaskSpec,
+        job_id: JobId,
+        user: str = "user-00",
+        lab: str = "lab-00",
+        duration_hint_s: float | None = None,
+    ) -> Job:
+        """The :class:`Job` a submission of *spec* becomes, submitted now.
+
+        Pure: consumes no job id and touches no state, so a router can
+        build the same job as a probe without submitting it.
+        """
+        return Job(
+            job_id=job_id,
+            user_id=user,
+            lab_id=lab,
+            request=spec.resources.to_request(),
+            submit_time=self.now,
+            duration=duration_hint_s or spec.resources.walltime_hours * 3600.0 * 0.4,
+            tier=spec.qos.job_tier,
+            partition=spec.resources.partition,
+            walltime_estimate=spec.resources.walltime_hours * 3600.0,
+            preemptible=spec.qos.preemptible,
+            model_name=spec.model,
+            name=spec.name,
+        )
 
     # -- observation ---------------------------------------------------------------------
 

@@ -116,14 +116,14 @@ class TestPartitions:
 
     def test_admits_within_limits(self):
         partition = self.spec(max_walltime_hours=24.0, max_gpus_per_job=8)
-        assert partition.admits(8, 24.0, "guaranteed")
-        assert not partition.admits(9, 1.0, "guaranteed")
-        assert not partition.admits(1, 25.0, "guaranteed")
+        assert partition.rejection_reason(8, 24.0, "guaranteed") is None
+        assert partition.rejection_reason(9, 1.0, "guaranteed") is not None
+        assert partition.rejection_reason(1, 25.0, "guaranteed") is not None
 
     def test_tier_restriction(self):
         partition = self.spec(allowed_tiers=("guaranteed",))
-        assert partition.admits(1, 1.0, "guaranteed")
-        assert not partition.admits(1, 1.0, "opportunistic")
+        assert partition.rejection_reason(1, 1.0, "guaranteed") is None
+        assert partition.rejection_reason(1, 1.0, "opportunistic") is not None
 
     def test_rejection_reason_messages(self):
         partition = self.spec(max_gpus_per_job=4)

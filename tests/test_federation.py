@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import ClusterSpec, NodeGroup, NodeSpec, build_cluster
+from repro.cluster import ClusterSpec, NodeGroup, NodeSpec, PartitionSpec, build_cluster
 from repro.errors import ConfigError, SchemaError, SimulationError
 from repro.schema import FileSpec, ResourceSpec, TaskSpec
 from repro.tcloud import (
@@ -23,12 +23,15 @@ def isolated_sessions():
     reset_sessions()
 
 
-def small_frontend(gpu_type="v100", nodes=2):
+def small_frontend(gpu_type="v100", nodes=2, partitions=()):
+    """A site of *nodes* 8-GPU nodes; each named partition spans all of them."""
+    node_ids = tuple(f"{gpu_type}-{index:03d}" for index in range(nodes))
     cluster = build_cluster(
         ClusterSpec(
             name=f"site-{gpu_type}",
             groups=(NodeGroup(nodes, NodeSpec(gpu_type, 8, 96, 768), nodes_per_rack=nodes),),
-        )
+        ),
+        partitions=[PartitionSpec(name, node_ids) for name in partitions],
     )
     return TaccFrontend(cluster=cluster)
 
@@ -44,12 +47,14 @@ def federation(policy="least-queued"):
     return FederatedClient(config, policy=policy, frontends=frontends)
 
 
-def spec(name="fed-task", gpus=8, gpu_type=None):
+def spec(name="fed-task", gpus=8, gpu_type=None, partition=None):
     return TaskSpec(
         name=name,
         entrypoint="python t.py",
         code_files=(FileSpec.of_bytes("t.py", b"pass"),),
-        resources=ResourceSpec(num_gpus=gpus, gpu_type=gpu_type, walltime_hours=2.0),
+        resources=ResourceSpec(
+            num_gpus=gpus, gpu_type=gpu_type, walltime_hours=2.0, partition=partition
+        ),
         model="resnet50",
     )
 
@@ -65,6 +70,26 @@ class TestRouting:
         assert decision.profile == "site-b"
         assert decision.excluded == ("site-a",)
 
+    @pytest.mark.parametrize("other_partitions", [("batch",), ()])
+    def test_site_without_the_partition_is_excluded(self, other_partitions):
+        config = TcloudConfig()
+        config.add(ClusterProfile(name="site-a", endpoint="sim://site-a"))
+        config.add(ClusterProfile(name="site-b", endpoint="sim://site-b"))
+        frontends = {
+            "site-a": small_frontend("v100", partitions=other_partitions),
+            "site-b": small_frontend("a100-80", partitions=("interactive",)),
+        }
+        fed = FederatedClient(config, frontends=frontends)
+        decision = fed.route(spec(partition="interactive"))
+        assert (decision.profile, decision.excluded) == ("site-b", ("site-a",))
+
+    @pytest.mark.parametrize("policy", ["home", "goodput-aware"])
+    def test_shared_registry_policies(self, policy):
+        fed = federation(policy=policy)
+        decision = fed.route(spec(gpu_type="a100-80"))
+        assert decision.profile == "site-b"
+        assert decision.reason.startswith(f"{policy}: ")
+
     def test_infeasible_everywhere_raises(self):
         fed = federation()
         with pytest.raises(SchemaError, match="infeasible on every"):
@@ -77,14 +102,14 @@ class TestRouting:
             fed.clients["site-a"].submit(spec(f"clog-{index}"), duration_hint_s=50_000.0)
         decision = fed.route(spec())
         assert decision.profile == "site-b"
-        assert "queue pressure" in decision.reason
+        assert decision.reason.startswith("least-queued: ")
 
     def test_most_free_prefers_empty_site(self):
         fed = federation(policy="most-free")
         fed.clients["site-b"].submit(spec("hog"), duration_hint_s=50_000.0)
         decision = fed.route(spec())
         assert decision.profile == "site-a"
-        assert "free GPUs" in decision.reason
+        assert decision.reason.startswith("most-free: ")
 
     def test_first_feasible_follows_profile_order(self):
         fed = federation(policy="first-feasible")

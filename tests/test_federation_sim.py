@@ -145,11 +145,7 @@ class TestSpec:
 
 class TestRoutingPolicies:
     def test_home_ignores_feasibility(self):
-        sites = [
-            FederationSimulator(
-                Trace([], name="t"), [("a", small_sim(1)), ("b", small_sim(2))]
-            ).sites
-        ][0]
+        sites = [small_sim(1), small_sim(2)]
         wide = make_job("wide", num_gpus=512)
         assert route_home(sites, wide) == 0
         assert route_first_feasible(sites, wide) is None

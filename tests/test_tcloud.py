@@ -105,6 +105,17 @@ class TestFrontend:
         expected = 360.0 / job.current_slowdown / job.duration
         assert frontend.status(job_id).progress == pytest.approx(expected)
 
+    def test_submission_honours_the_partition(self):
+        frontend = TaccFrontend()
+        spec = demo_spec(
+            resources=ResourceSpec(num_gpus=4, walltime_hours=2.0, partition="consumer")
+        )
+        job_id, _c, _w = frontend.submit(spec, duration_hint_s=600.0)
+        status = frontend.status(job_id)
+        consumer = frontend.cluster.partitions.get("consumer").node_ids
+        assert status.state == "running"
+        assert status.nodes and set(status.nodes) <= set(consumer)
+
     def test_validation_errors_block_submission(self):
         frontend = TaccFrontend()
         bad = demo_spec(resources=ResourceSpec(num_gpus=64, gpus_per_node=8, gpu_type="a100-80"))
