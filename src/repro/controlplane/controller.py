@@ -404,23 +404,14 @@ class ClusterController:
         return transition
 
     def _account(self, transition: Transition) -> None:
-        """Derive churn counters from the transition stream (single source)."""
-        target = transition.target
-        if target is LifecycleState.PREEMPTED:
-            self.metrics.preemptions += 1
-        elif target is LifecycleState.RESTARTING:
-            self.metrics.job_restarts += 1
-        elif target.terminal:
+        """Retire a job on its terminal edge (churn is counted by the log)."""
+        if transition.target.terminal:
             self._live_jobs -= 1
             if self._live_jobs < 0:
                 raise SimulationError(
                     f"live-job counter went negative at {transition.job_id}; "
                     "a terminal transition was double-counted"
                 )
-            if transition.cause is Cause.REJECT:
-                self.metrics.rejected_jobs += 1
-            elif transition.cause is Cause.WALLTIME_LIMIT:
-                self.metrics.walltime_kills += 1
             self.waiting_on.pop(transition.job_id, None)
             self._on_upstream_terminal(transition)
 

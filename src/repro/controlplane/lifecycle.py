@@ -144,9 +144,7 @@ class TransitionLog:
     def __init__(self, retain_records: bool = True) -> None:
         self.retain_records = retain_records
         self.records: list[Transition] = []
-        self._total = 0
-        self._by_target: dict[LifecycleState, int] = {}
-        self._by_cause: dict[Cause, int] = {}
+        #: The one tally, per (target, cause) edge; every count sums over it.
         self._by_pair: dict[tuple[LifecycleState, Cause], int] = {}
         #: (timeline position in records, node event or held-back record
         #: index), in the order noted.
@@ -155,14 +153,11 @@ class TransitionLog:
     def append(self, transition: Transition) -> None:
         if self.retain_records:
             self.records.append(transition)
-        self._total += 1
-        self._by_target[transition.target] = self._by_target.get(transition.target, 0) + 1
-        self._by_cause[transition.cause] = self._by_cause.get(transition.cause, 0) + 1
         pair = (transition.target, transition.cause)
         self._by_pair[pair] = self._by_pair.get(pair, 0) + 1
 
     def __len__(self) -> int:
-        return self._total
+        return self.count()
 
     def __iter__(self) -> Iterator[Transition]:
         return iter(self.records)
@@ -170,15 +165,14 @@ class TransitionLog:
     def count(
         self, target: LifecycleState | None = None, cause: Cause | None = None
     ) -> int:
-        """O(1) count by target state and/or cause (exact even when record
-        retention is off — counts are maintained independently)."""
-        if target is not None and cause is not None:
-            return self._by_pair.get((target, cause), 0)
-        if target is not None:
-            return self._by_target.get(target, 0)
-        if cause is not None:
-            return self._by_cause.get(cause, 0)
-        return self._total
+        """Count by target state and/or cause: a sum over the per-edge
+        tally, exact even when record retention is off."""
+        return sum(
+            count
+            for (edge_target, edge_cause), count in self._by_pair.items()
+            if (target is None or edge_target is target)
+            and (cause is None or edge_cause is cause)
+        )
 
     def for_job(self, job_id: str) -> list[Transition]:
         return [t for t in self.records if t.job_id == job_id]
@@ -217,7 +211,10 @@ class TransitionLog:
 
     def by_cause(self) -> dict[str, int]:
         """Cause -> count, in first-seen order (reporting)."""
-        return {cause.value: count for cause, count in self._by_cause.items()}
+        by_cause: dict[str, int] = {}
+        for (_target, cause), count in self._by_pair.items():
+            by_cause[cause.value] = by_cause.get(cause.value, 0) + count
+        return by_cause
 
 
 def _as_event(transition: Transition) -> TimelineEvent:

@@ -383,7 +383,8 @@ class FederationSimulator:
         fleet_collector = MetricsCollector.merged(
             [site.sim.metrics for site in self.sites], end
         )
-        fleet = summarize(merged, fleet_collector, end)
+        logs = [site.sim.controller.log for site in self.sites]
+        fleet = summarize(merged, fleet_collector, logs, end)
         # Shells are KILLED incarnations, so summarize credits them zero —
         # but their checkpoints survived the move.  Re-credit their
         # retained progress at the fleet level.

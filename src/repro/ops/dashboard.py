@@ -126,10 +126,8 @@ def run_report(result: SimulationResult, top_n: int = 5) -> str:
             f" blocked-cache hit rate {perf.blocked_cache_hit_rate:.0%})\n"
         )
     if result.transitions:
-        by_cause: dict[str, int] = {}
-        for transition in result.transitions:
-            by_cause[transition.cause.value] = by_cause.get(transition.cause.value, 0) + 1
-        rendered = ", ".join(f"{cause}={count}" for cause, count in sorted(by_cause.items()))
+        by_cause = sorted(result.log.by_cause().items())
+        rendered = ", ".join(f"{cause}={count}" for cause, count in by_cause)
         out.write(
             f"control plane: {len(result.transitions)} lifecycle transitions"
             f" ({rendered})\n"

@@ -15,8 +15,9 @@ so typos fail loudly rather than silently using defaults.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
-from typing import Any
+from typing import Any, TypeVar
 
 from ..errors import SchemaError
 from .taskspec import EnvironmentSpec, FileSpec, QosSpec, ResourceSpec, TaskSpec
@@ -273,10 +274,28 @@ _TOP_KEYS = {
 }
 
 
-def _check_keys(data: dict[str, Any], allowed: set[str], context: str) -> None:
+def _check_keys(data: Any, allowed: set[str], context: str) -> None:
+    if not isinstance(data, dict):
+        raise SchemaError(f"{context} must be a mapping, got {type(data).__name__}")
     unknown = set(data) - allowed
     if unknown:
         raise SchemaError(f"{context}: unknown keys {sorted(unknown)}")
+
+
+N = TypeVar("N", int, float)
+
+
+def _number(value: Any, kind: type[N], field: str) -> N:
+    """*value* as a finite *kind*, or a :class:`SchemaError` naming *field*."""
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    else:
+        if not isinstance(value, bool) and math.isfinite(number):
+            return number
+    noun = "an integer" if kind is int else "a finite number"
+    raise SchemaError(f"{field} must be {noun}, got {value!r}")
 
 
 def _files_from(items: Any, context: str) -> tuple[FileSpec, ...]:
@@ -285,7 +304,7 @@ def _files_from(items: Any, context: str) -> tuple[FileSpec, ...]:
     if not isinstance(items, list):
         raise SchemaError(f"{context} must be a list of file entries")
     files = []
-    for item in items:
+    for index, item in enumerate(items):
         if not isinstance(item, dict):
             raise SchemaError(f"{context}: each file needs path/size_bytes/sha256")
         _check_keys(item, {"path", "size_bytes", "sha256"}, context)
@@ -293,7 +312,7 @@ def _files_from(items: Any, context: str) -> tuple[FileSpec, ...]:
             files.append(
                 FileSpec(
                     path=str(item["path"]),
-                    size_bytes=int(item["size_bytes"]),
+                    size_bytes=_number(item["size_bytes"], int, f"{context}[{index}].size_bytes"),
                     sha256=str(item["sha256"]),
                 )
             )
@@ -316,11 +335,14 @@ def spec_from_dict(data: dict[str, Any]) -> TaskSpec:
     pip = env_data.get("pip_packages") or []
     if not isinstance(pip, list):
         raise SchemaError("environment.pip_packages must be a list")
+    env_vars = env_data.get("env_vars") or {}
+    if not isinstance(env_vars, dict):
+        raise SchemaError(f"environment.env_vars must be a mapping, got {type(env_vars).__name__}")
     environment = EnvironmentSpec(
         image=str(env_data.get("image") or ""),
         python_version=str(env_data.get("python_version") or "3.10"),
         pip_packages=tuple(str(p) for p in pip),
-        env_vars={str(k): str(v) for k, v in (env_data.get("env_vars") or {}).items()},
+        env_vars={str(k): str(v) for k, v in env_vars.items()},
     )
 
     res_data = data.get("resources") or {}
@@ -338,15 +360,20 @@ def spec_from_dict(data: dict[str, Any]) -> TaskSpec:
         },
         "resources",
     )
+    per_node = res_data.get("gpus_per_node")
     resources = ResourceSpec(
-        num_gpus=int(res_data.get("num_gpus", 1)),
+        num_gpus=_number(res_data.get("num_gpus", 1), int, "resources.num_gpus"),
         gpus_per_node=(
-            int(res_data["gpus_per_node"]) if res_data.get("gpus_per_node") is not None else None
+            None if per_node is None else _number(per_node, int, "resources.gpus_per_node")
         ),
         gpu_type=res_data.get("gpu_type"),
-        cpus_per_gpu=int(res_data.get("cpus_per_gpu", 4)),
-        memory_gb_per_gpu=float(res_data.get("memory_gb_per_gpu", 32.0)),
-        walltime_hours=float(res_data.get("walltime_hours", 24.0)),
+        cpus_per_gpu=_number(res_data.get("cpus_per_gpu", 4), int, "resources.cpus_per_gpu"),
+        memory_gb_per_gpu=_number(
+            res_data.get("memory_gb_per_gpu", 32.0), float, "resources.memory_gb_per_gpu"
+        ),
+        walltime_hours=_number(
+            res_data.get("walltime_hours", 24.0), float, "resources.walltime_hours"
+        ),
         partition=res_data.get("partition"),
         rdma=bool(res_data.get("rdma", False)),
     )
@@ -443,7 +470,7 @@ def workflow_from_dict(data: dict[str, Any]) -> WorkflowSpec:
     if not isinstance(artifact_items, list):
         raise SchemaError("workflow: 'artifacts' must be a list")
     artifacts = []
-    for item in artifact_items:
+    for index, item in enumerate(artifact_items):
         if not isinstance(item, dict):
             raise SchemaError("workflow: each artifact needs name/producer/size_bytes")
         _check_keys(item, {"name", "producer", "size_bytes"}, "artifact")
@@ -452,7 +479,7 @@ def workflow_from_dict(data: dict[str, Any]) -> WorkflowSpec:
                 ArtifactSpec(
                     name=str(item["name"]),
                     producer=str(item["producer"]),
-                    size_bytes=int(item["size_bytes"]),
+                    size_bytes=_number(item["size_bytes"], int, f"artifacts[{index}].size_bytes"),
                 )
             )
         except KeyError as exc:

@@ -45,15 +45,11 @@ class SimulationEngine:
         self.now: float = 0.0
         self.events_processed: int = 0
         self._queue: EventQueue = queue if queue is not None else CalendarEventQueue()
-        self._sequence = 0
         self._handlers: dict[type[Event], Handler] = {}
         self._stopped = False
-        # Pending events by concrete type, so has_pending() is O(#types)
-        # instead of scanning the queue.
-        self._pending_counts: dict[type[Event], int] = {}
-        # -- queue telemetry (observational only, surfaced via PerfCounters) --
+        #: Events pushed so far; also each push's sequence-number tiebreak.
         self.events_enqueued: int = 0
-        self.peak_pending: int = 0
+        self.peak_pending: int = 0  # queue telemetry, surfaced via PerfCounters
 
     # -- configuration ---------------------------------------------------------
 
@@ -73,14 +69,11 @@ class SimulationEngine:
             raise EventOrderError(
                 f"cannot schedule {type(event).__name__} at {time}; clock is at {self.now}"
             )
-        self._queue.push((max(time, self.now), priority_of(event), self._sequence, event))
-        self._sequence += 1
+        self._queue.push((max(time, self.now), priority_of(event), self.events_enqueued, event))
         self.events_enqueued += 1
         pending = len(self._queue)
         if pending > self.peak_pending:
             self.peak_pending = pending
-        event_type = type(event)
-        self._pending_counts[event_type] = self._pending_counts.get(event_type, 0) + 1
 
     def schedule_in(self, delay: float, event: Event) -> None:
         """Enqueue *event* after *delay* seconds."""
@@ -99,13 +92,6 @@ class SimulationEngine:
         head = self._queue.peek()
         return head[0] if head is not None else None
 
-    def has_pending(self, event_type: type[Event]) -> bool:
-        """True when any queued event is an instance of *event_type*."""
-        return any(
-            count > 0 and issubclass(queued_type, event_type)
-            for queued_type, count in self._pending_counts.items()
-        )
-
     # -- execution -----------------------------------------------------------------
 
     def stop(self) -> None:
@@ -117,7 +103,6 @@ class SimulationEngine:
         if not self._queue:
             return None
         time, _priority, _sequence, event = self._queue.pop()
-        self._pending_counts[type(event)] -= 1
         if time < self.now - 1e-9:
             raise EventOrderError(
                 f"event {type(event).__name__} at {time} is in the past (now={self.now})"

@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ..controlplane.lifecycle import Cause, LifecycleState, TransitionLog
 from ..errors import SimulationError
 from ..workload.job import FailureCategory, Job, JobState, JobTier
 
@@ -55,15 +56,10 @@ class MetricsCollector:
 
     total_gpus: int
     samples: list[Sample] = field(default_factory=list)
-    preemptions: int = 0
     node_failures: int = 0
-    job_restarts: int = 0
-    rejected_jobs: int = 0
     provision_seconds: float = 0.0
     stage_seconds: float = 0.0
     transfer_seconds: float = 0.0
-    walltime_kills: int = 0
-    scheduler_passes: int = 0
     _last_time: float = 0.0
     _used_gpus: int = 0
     _used_integral: float = 0.0  # gpu-seconds
@@ -127,18 +123,10 @@ class MetricsCollector:
         for collector in collectors:
             fleet._used_integral += collector.served_gpu_seconds(now)
             fleet._healthy_integral += collector.healthy_gpu_seconds(now)
-            # Counter aggregation on a fresh collector, not a job lifecycle
-            # write — the underlying transitions were already controller-logged
-            # at their sites.
-            fleet.preemptions += collector.preemptions  # simlint: disable=R3
             fleet.node_failures += collector.node_failures
-            fleet.job_restarts += collector.job_restarts
-            fleet.rejected_jobs += collector.rejected_jobs
             fleet.provision_seconds += collector.provision_seconds
             fleet.stage_seconds += collector.stage_seconds
             fleet.transfer_seconds += collector.transfer_seconds
-            fleet.walltime_kills += collector.walltime_kills
-            fleet.scheduler_passes += collector.scheduler_passes
         fleet._last_time = now
         fleet._healthy_last_time = now
         fleet._used_gpus = 0
@@ -433,7 +421,6 @@ class SimMetrics:
     walltime_kills: int
     failure_taxonomy: dict[str, int]
     gpu_hours_by_lab: dict[str, float]
-    scheduler_passes: int
     #: Inference-serving aggregates; ``None`` for training-only runs, so
     #: their summaries (and the golden tests pinning them) are unchanged.
     serving: ServingMetrics | None = None
@@ -470,10 +457,14 @@ class SimMetrics:
 def summarize(
     jobs: dict[str, Job],
     collector: MetricsCollector,
+    logs: Sequence[TransitionLog],
     now: float,
     serving: ServingMetrics | None = None,
 ) -> SimMetrics:
     """Aggregate a finished (or truncated) run into :class:`SimMetrics`.
+
+    Churn counts are read from the transition *logs*, one per site, so a
+    fleet's counts are exact sums.
 
     Service replicas (``job.service_id`` set) are excluded from the
     job-level population: their latency story is request latency, carried
@@ -520,6 +511,9 @@ def summarize(
         productive=productive_gpu_seconds(jobs.values()) / 3600.0,
     )
 
+    def count(target: LifecycleState, cause: Cause | None = None) -> int:
+        return sum(log.count(target, cause) for log in logs)
+
     return SimMetrics(
         jobs_total=len(population),
         jobs_completed=len(completed),
@@ -537,17 +531,16 @@ def summarize(
             tier: (float(np.mean(values)) if values else float("nan"))
             for tier, values in wait_by_tier.items()
         },
-        preemptions=collector.preemptions,
+        preemptions=count(LifecycleState.PREEMPTED),
         preemptions_by_tier=preempt_by_tier,
         node_failures=collector.node_failures,
-        job_restarts=collector.job_restarts,
-        rejected_jobs=collector.rejected_jobs,
+        job_restarts=count(LifecycleState.RESTARTING),
+        rejected_jobs=count(LifecycleState.KILLED, Cause.REJECT),
         provision_seconds=collector.provision_seconds,
         stage_seconds=collector.stage_seconds,
-        walltime_kills=collector.walltime_kills,
+        walltime_kills=count(LifecycleState.KILLED, Cause.WALLTIME_LIMIT),
         failure_taxonomy=taxonomy,
         gpu_hours_by_lab=dict(sorted(gpu_hours_by_lab.items())),
-        scheduler_passes=collector.scheduler_passes,
         serving=serving,
         goodput=goodput,
         workflow=workflow_rollup(population, collector.transfer_seconds),

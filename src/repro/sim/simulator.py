@@ -23,7 +23,6 @@ plan.
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -99,10 +98,10 @@ class SimConfig:
         record_transitions: Retain the control plane's individual
             :class:`Transition` records on the result.  On by default;
             fleet-scale runs (~1M jobs) turn it off to save gigabytes —
-            all aggregate counts (``log.count``, churn metrics, the ops
-            report's by-cause table) stay exact either way.  The timeline
-            is derived from these records, so without them it holds node
-            events only.
+            ``log.count`` and the churn metrics read from it stay exact
+            either way.  The timeline and the ops report's by-cause table
+            are derived from the records, so without them the timeline
+            holds node events only and the report omits the table.
     """
 
     sample_interval_s: float = 600.0
@@ -134,8 +133,8 @@ class SimulationResult:
     #: set ``record_transitions=False`` (fleet scale); aggregate counts are
     #: exact either way.
     log: TransitionLog = field(default_factory=TransitionLog)
-    #: Hot-path counters (wall time, nodes examined).  Observational only:
-    #: excluded from summary() so results stay byte-identical across runs.
+    #: Hot-path counters (passes, placement attempts, nodes examined).
+    #: Observational only: excluded from summary().
     perf: PerfCounters = field(default_factory=PerfCounters)
 
     @property
@@ -191,7 +190,10 @@ class ClusterSimulator:
         )
         self.jobs: dict[JobId, Job] = self.controller.jobs
         self.running: dict[JobId, Job] = self.controller.running
+        # One pending event per self-rescheduling chain: set on schedule, cleared on dispatch.
         self._tick_pending = False
+        self._sample_pending = False
+        self._quantum_pending = False
         # Static shape verdicts per distinct request shape: node specs never
         # change mid-run, so the answer is a pure function of the shape.
         self._shape_verdicts: dict[tuple[object, ...], str | None] = {}
@@ -235,10 +237,10 @@ class ClusterSimulator:
         for job in trace:
             engine.schedule_at(job.submit_time, JobArrival(job.job_id))
         if self.config.sample_interval_s > 0 and trace:
-            engine.schedule_at(0.0, MetricsSample())
+            self._schedule_sample(0.0)
         quantum = scheduler.tick_interval()
         if quantum is not None and trace:
-            engine.schedule_at(quantum, QuantumExpiry())
+            self._schedule_quantum(quantum)
         if self._failure_injector is not None:
             for time, node_id in self._failure_injector.initial_failures(cluster):
                 engine.schedule_at(time, NodeFailure(node_id))
@@ -250,7 +252,7 @@ class ClusterSimulator:
             serving.attach(self)
             self.controller.serving = serving
             if self.config.sample_interval_s > 0 and not trace:
-                engine.schedule_at(0.0, MetricsSample())
+                self._schedule_sample(0.0)
 
     # -- public API ---------------------------------------------------------------
 
@@ -273,11 +275,11 @@ class ClusterSimulator:
             )
         self.controller.track(job)
         self.engine.schedule_at(job.submit_time, JobArrival(job.job_id))
-        if self.config.sample_interval_s > 0 and not self.engine.has_pending(MetricsSample):
-            self.engine.schedule_at(self.engine.now, MetricsSample())
+        if self.config.sample_interval_s > 0 and not self._sample_pending:
+            self._schedule_sample(self.engine.now)
         quantum = self.scheduler.tick_interval()
-        if quantum is not None and not self.engine.has_pending(QuantumExpiry):
-            self.engine.schedule_in(quantum, QuantumExpiry())
+        if quantum is not None and not self._quantum_pending:
+            self._schedule_quantum(self.engine.now + quantum)
 
     def kill_job(
         self,
@@ -320,7 +322,7 @@ class ClusterSimulator:
         self.perf.events_dequeued = self.engine.events_processed
         self.perf.peak_pending_events = self.engine.peak_pending
         serving_metrics = self.serving.finalize(now) if self.serving is not None else None
-        metrics = summarize(self.jobs, self.metrics, now, serving=serving_metrics)
+        metrics = summarize(self.jobs, self.metrics, [self.controller.log], now, serving_metrics)
         if self.config.debug_invariants > 0:
             self._verify_workflow_bound(metrics)
         return SimulationResult(
@@ -397,10 +399,11 @@ class ClusterSimulator:
         self._run_scheduler_pass(now)
 
     def _on_quantum(self, now: float, event: QuantumExpiry) -> None:
+        self._quantum_pending = False
         self._run_scheduler_pass(now)
         quantum = self.scheduler.tick_interval()
         if quantum is not None and self._work_remains():
-            self.engine.schedule_in(quantum, QuantumExpiry())
+            self._schedule_quantum(now + quantum)
 
     def _run_scheduler_pass(self, now: float) -> None:
         ctx = ScheduleContext(
@@ -410,17 +413,12 @@ class ClusterSimulator:
             start_job=lambda job, placement: self._start_job(now, job, placement),
             preempt_job=lambda job: self._preempt_job(now, job),
         )
-        # Observational-only timing: PerfCounters are excluded from summaries
-        # and never feed a simulated decision (see repro/perf.py).
-        started = _time.perf_counter()  # simlint: disable=R2
         self.scheduler.schedule(ctx)
-        self.perf.sched_pass_wall_s += _time.perf_counter() - started  # simlint: disable=R2
         self.perf.scheduler_passes += 1
-        self.metrics.scheduler_passes += 1
         fraction = self.config.debug_invariants
         if fraction > 0:
             stride = max(1, round(1.0 / fraction))
-            if self.metrics.scheduler_passes % stride == 0:
+            if self.perf.scheduler_passes % stride == 0:
                 self.cluster.verify_invariants()
                 self._verify_no_held_in_queue()
         self._maybe_verify()
@@ -435,11 +433,12 @@ class ClusterSimulator:
         self._maybe_verify()
 
     def _on_sample(self, now: float, event: MetricsSample) -> None:
+        self._sample_pending = False
         self.metrics.sample(
             now, self.cluster.used_gpus, self.scheduler.queue_depth, len(self.running)
         )
         if self.config.sample_interval_s > 0 and self._work_remains():
-            self.engine.schedule_in(self.config.sample_interval_s, MetricsSample())
+            self._schedule_sample(now + self.config.sample_interval_s)
 
     def _on_node_failure(self, now: float, event: NodeFailure) -> None:
         node = self.cluster.node(event.node_id)
@@ -536,6 +535,14 @@ class ClusterSimulator:
         if not self._tick_pending:
             self._tick_pending = True
             self.engine.schedule_at(now, SchedulerTick())
+
+    def _schedule_sample(self, time: float) -> None:
+        self._sample_pending = True
+        self.engine.schedule_at(time, MetricsSample())
+
+    def _schedule_quantum(self, time: float) -> None:
+        self._quantum_pending = True
+        self.engine.schedule_at(time, QuantumExpiry())
 
     def _work_remains(self) -> bool:
         return self.controller.work_remains()

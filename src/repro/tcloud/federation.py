@@ -5,9 +5,9 @@ changing one configuration line; this module automates the choice.  A
 :class:`FederatedClient` holds one client per profile and routes each
 submission by one of the federated simulator's policies
 (:data:`~repro.federation.routing.ROUTING_POLICIES`: ``least-queued``, the
-default and what users do by hand, ``most-free``, ``first-feasible``,
-``goodput-aware`` and ``home``), applied to the profiles' simulated
-clusters in profile order.
+default and what users do by hand, ``most-free``, ``first-feasible`` and
+``goodput-aware``; ``home`` is refused, as profiles are peers with no home
+site), applied to the profiles' simulated clusters in profile order.
 
 Clusters whose validation fails (missing GPU type, oversized request, a
 partition that is unknown there or refuses the job) are excluded before
@@ -58,6 +58,8 @@ class FederatedClient:
         profiles distinct ``sim://`` endpoints or they will share one
         cluster.
         """
+        if policy == "home":
+            raise ConfigError("routing policy 'home' needs a home site; tcloud profiles are peers")
         if policy not in ROUTING_POLICIES:
             raise ConfigError(
                 f"unknown routing policy {policy!r}; known: {sorted(ROUTING_POLICIES)}"

@@ -16,7 +16,7 @@ import pytest
 
 from repro.sim.engine import SimulationEngine
 from repro.sim.eventq import CalendarEventQueue, HeapEventQueue
-from repro.sim.events import Event, JobArrival, MetricsSample, SchedulerTick
+from repro.sim.events import Event, JobArrival, SchedulerTick
 
 
 class _Marker(Event):
@@ -171,4 +171,3 @@ def test_engine_queue_telemetry():
     assert engine.events_enqueued == 11
     assert engine.events_processed == 11
     assert engine.peak_pending == 10
-    assert not engine.has_pending(MetricsSample)

@@ -83,7 +83,11 @@ class TestRouting:
         decision = fed.route(spec(partition="interactive"))
         assert (decision.profile, decision.excluded) == ("site-b", ("site-a",))
 
-    @pytest.mark.parametrize("policy", ["home", "goodput-aware"])
+    def test_home_policy_rejected(self):
+        with pytest.raises(ConfigError, match="profiles are peers"):
+            federation(policy="home")
+
+    @pytest.mark.parametrize("policy", ["goodput-aware"])
     def test_shared_registry_policies(self, policy):
         fed = federation(policy=policy)
         decision = fed.route(spec(gpu_type="a100-80"))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SchemaError
+from repro.errors import ReproError, SchemaError
 from repro.schema import (
     EnvironmentSpec,
     FileSpec,
@@ -17,6 +17,7 @@ from repro.schema import (
     TaskSpec,
     ensure_valid,
     parse_task_text,
+    parse_workflow_text,
     parse_yaml_subset,
     spec_from_dict,
     validate_spec,
@@ -229,6 +230,132 @@ class TestSpecParsing:
         from repro.schema import parse_task_file
 
         assert parse_task_file(path).name == "bert-pretrain"
+
+
+WORKFLOW_DOC = """
+workflow: nightly-rag
+stages:
+  - name: ingest
+    entrypoint: python ingest.py
+  - name: evaluate
+    entrypoint: python eval.py
+    consumes:
+      - corpus
+    resources:
+      num_gpus: 2
+      walltime_hours: 1.5
+artifacts:
+  - name: corpus
+    producer: ingest
+    size_bytes: 1073741824
+"""
+
+#: Any JSON value, the numbers unbounded (NaN, infinities and ints too
+#: large for a float included).
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6,
+)
+
+#: One character edit of a document: (position, operation, character).
+TEXT_EDITS = st.tuples(
+    st.integers(min_value=0),
+    st.sampled_from(["delete", "insert", "replace"]),
+    st.sampled_from(list(" :-#\n'\"{}[]0123456789.eE+~atx")),
+)
+
+PARSERS = {"task": (YAML_DOC, parse_task_text), "workflow": (WORKFLOW_DOC, parse_workflow_text)}
+
+
+def _paths(node, prefix=()):
+    """Every path into a parsed document, the root included."""
+    yield prefix
+    if isinstance(node, dict):
+        children = list(node.items())
+    elif isinstance(node, list):
+        children = list(enumerate(node))
+    else:
+        children = []
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+def _parse_or_typed_error(parse, text):
+    """Parse *text*; only the library's own errors may escape."""
+    try:
+        parse(text)
+    except ReproError:
+        pass
+
+
+class TestTypedParseErrors:
+    @pytest.mark.parametrize(
+        "value, shown", [("two", "'two'"), ("", "None"), ("1e999", "inf"), ("true", "True")]
+    )
+    def test_bad_gpu_count_names_the_field(self, value, shown):
+        text = f"name: t\nentrypoint: x\nresources:\n  num_gpus: {value}\n"
+        message = rf"resources\.num_gpus must be an integer, got {shown}"
+        with pytest.raises(SchemaError, match=message):
+            parse_task_text(text)
+
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            ({"resources": {"gpus_per_node": [8]}}, r"resources\.gpus_per_node"),
+            ({"resources": {"cpus_per_gpu": "four"}}, r"resources\.cpus_per_gpu"),
+            ({"resources": {"memory_gb_per_gpu": float("nan")}}, r"resources\.memory_gb_per_gpu"),
+            ({"resources": {"walltime_hours": "1e999"}}, r"resources\.walltime_hours"),
+            (
+                {"code_files": [{"path": "a.py", "size_bytes": "big", "sha256": "a" * 64}]},
+                r"code_files\[0\]\.size_bytes",
+            ),
+            ({"resources": 4}, r"resources must be a mapping"),
+            ({"environment": {"env_vars": ["A=1"]}}, r"environment\.env_vars must be a mapping"),
+        ],
+    )
+    def test_each_field_reports_its_path(self, data, field):
+        with pytest.raises(SchemaError, match=field):
+            spec_from_dict({"name": "t", "entrypoint": "x", **data})
+
+    def test_artifact_size_reports_its_path(self):
+        text = WORKFLOW_DOC.replace("size_bytes: 1073741824", "size_bytes: 1e999")
+        with pytest.raises(SchemaError, match=r"artifacts\[0\]\.size_bytes"):
+            parse_workflow_text(text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(PARSERS)), st.data())
+    def test_value_mutations_raise_only_typed_errors(self, which, data):
+        text, parse = PARSERS[which]
+        document = parse_yaml_subset(text)
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            path = data.draw(st.sampled_from(list(_paths(document))))
+            value = data.draw(JSON_VALUES)
+            if not path:
+                document = value
+                continue
+            parent = document
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+        _parse_or_typed_error(parse, json.dumps(document))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(PARSERS)), st.lists(TEXT_EDITS, min_size=1, max_size=4))
+    def test_text_mutations_raise_only_typed_errors(self, which, edits):
+        text, parse = PARSERS[which]
+        chars = list(text)
+        for position, operation, char in edits:
+            position %= len(chars) + 1
+            if operation == "insert":
+                chars.insert(position, char)
+            elif position < len(chars):
+                if operation == "delete":
+                    del chars[position]
+                else:
+                    chars[position] = char
+        _parse_or_typed_error(parse, "".join(chars))
 
 
 class TestSemanticValidation:

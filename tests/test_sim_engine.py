@@ -170,13 +170,6 @@ class TestRunControls:
         assert isinstance(event, _Probe)
         assert engine.peek_time() is None
 
-    def test_has_pending(self):
-        engine, _log = recording_engine()
-        assert not engine.has_pending(_Probe)
-        engine.schedule_at(1.0, _Probe("x"))
-        assert engine.has_pending(_Probe)
-        assert not engine.has_pending(SchedulerTick)
-
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=50))

@@ -241,6 +241,29 @@ class TestDynamicSubmission:
         with pytest.raises(SimulationError, match="in the past"):
             simulator.submit_job(make_job("b", submit_time=0.0))
 
+    def test_submission_after_quiescence_restarts_each_chain_once(self):
+        simulator = ClusterSimulator(
+            uniform_cluster(1, gpus_per_node=8),
+            make_scheduler("tiresias", tick_s=300.0),
+            Trace([], name="live"),
+            config=SimConfig(sample_interval_s=600.0),
+        )
+        simulator.submit_job(make_job("a", duration=1_000.0))
+        simulator.engine.run()
+        assert simulator.engine.pending == 0  # sampler and quantum chains ended
+        now = simulator.engine.now
+        sampled_before = len(simulator.metrics.samples)
+        simulator.submit_job(make_job("b", duration=1_000.0, submit_time=now))
+        # One arrival, one MetricsSample and one QuantumExpiry restart.
+        assert simulator.engine.pending == 3
+        simulator.submit_job(make_job("c", duration=1_000.0, submit_time=now + 50.0))
+        assert simulator.engine.pending == 4  # the second submission adds its arrival only
+        simulator.engine.run()
+        restarted = [sample.time for sample in simulator.metrics.samples[sampled_before:]]
+        assert restarted[0] == now
+        assert restarted == sorted(set(restarted))  # one sampler chain, not two
+        assert [j.state for j in simulator.jobs.values()] == [JobState.COMPLETED] * 3
+
     def test_kill_running_job_frees_resources(self):
         simulator = self.build()
         job = make_job("a", num_gpus=8, duration=10_000.0)

@@ -12,8 +12,9 @@ these digests do.
 The audit checks the same runs against laws that hold for any correct
 run, independent of the captured digests: each job's records form a
 contiguous walk through LEGAL_TRANSITIONS from PENDING to its current
-lifecycle, the live-job counter matches the non-terminal jobs, and the
-churn counters match the log.
+lifecycle, the live-job counter matches the non-terminal jobs, and every
+count the log and the churn metrics report equals a recount of the
+retained records.
 
 Regenerate the fixture ONLY for an intentional behaviour change:
 ``PYTHONPATH=src python scripts/capture_transition_golden.py``.
@@ -23,11 +24,13 @@ from __future__ import annotations
 
 import importlib.util
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from repro.controlplane import LEGAL_TRANSITIONS, LifecycleState
+from repro.controlplane import LEGAL_TRANSITIONS, Cause, LifecycleState
+from repro.sim import summarize
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURE = REPO / "tests" / "data" / "transition_golden.json"
@@ -88,5 +91,25 @@ def test_live_jobs_and_churn_counters_match_the_log(runs, name):
     log = sim.controller.log
     live = sum(1 for job in sim.jobs.values() if not job.lifecycle.terminal)
     assert sim.controller.live_jobs == live
-    assert sim.metrics.preemptions == log.count(LifecycleState.PREEMPTED)
-    assert sim.metrics.job_restarts == log.count(LifecycleState.RESTARTING)
+
+    records = log.records
+    edges = Counter((t.target, t.cause) for t in records)
+    for target in LifecycleState:
+        for cause in Cause:
+            assert log.count(target, cause) == edges[target, cause], (target, cause)
+        assert log.count(target) == sum(t.target is target for t in records), target
+    for cause in Cause:
+        assert log.count(cause=cause) == sum(t.cause is cause for t in records), cause
+    assert log.count() == len(log) == len(records)
+    assert list(log.by_cause().items()) == list(
+        Counter(t.cause.value for t in records).items()
+    )
+
+    # The churn metrics of the run's result, as ClusterSimulator.run builds them.
+    metrics = summarize(sim.jobs, sim.metrics, [log], sim.engine.now)
+    targets = [t.target for t in records]
+    causes = [t.cause for t in records]
+    assert metrics.preemptions == targets.count(LifecycleState.PREEMPTED)
+    assert metrics.job_restarts == targets.count(LifecycleState.RESTARTING)
+    assert metrics.rejected_jobs == causes.count(Cause.REJECT)
+    assert metrics.walltime_kills == causes.count(Cause.WALLTIME_LIMIT)
